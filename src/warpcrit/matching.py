@@ -62,7 +62,6 @@ __all__ = [
     "RootClassification",
     "improper_integral",
     "cumulative_integral",
-    "cumulative_table",
     "classify_roots",
     "match_boundary",
     "c_threshold",
@@ -459,12 +458,6 @@ def _get_table(profile: Profile) -> _CumulativeTable:
 def cumulative_integral(profile: Profile, x: float) -> float:
     """G(x) = int_theta^x r/(r')^2 on the positive axis (table-backed)."""
     return _get_table(profile).value(float(x))
-
-
-def cumulative_table(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
-    """Node/value arrays of the cumulative matching integral, for export."""
-    t = _get_table(profile)
-    return t.xs.copy(), t.prefix - t.theta_offset
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,49 @@ _CONSTANT_TOL = 1e-12
 # Guard floor for the warp factor during integration, relative to r0.
 _RADIUS_FLOOR = 1e-6
 
+# Integrator settings of every profile, shared by its outward extensions.
+_TOLS = {"rtol": 1e-15, "atol": 1e-18, "max_step": 0.1}
+
+
+class _Fields:
+    """The radial fields with their longdouble coefficients, built once.
+
+    This is the one definition of each formula.  The arguments are
+    longdouble scalars (the integrator's right-hand side) or longdouble
+    arrays (the public helpers below).
+    """
+
+    __slots__ = ("n", "a", "c2", "a_jerk", "a_pot", "a_drive", "inv", "a_cons")
+
+    def __init__(self, n: int, R: float, a: float) -> None:
+        self.n = n
+        self.a = _LD(a)
+        self.c2 = _LD(R) / _LD(n * (n - 1))
+        self.a_jerk = _LD(a) * _LD(1 - n)
+        self.a_pot = _LD((n - 1) * a)
+        self.a_drive = _LD(n * (n - 1) * a)
+        self.inv = _LD(1) / _LD(n - 1)
+        self.a_cons = _LD(2.0 * a) / _LD(n - 2)
+
+    def warp(self, r):  # r''
+        return self.a * r ** (1 - self.n) - self.c2 * r
+
+    def warp_jerk(self, r, rp):  # r'''
+        return (self.a_jerk * r ** (-self.n) - self.c2) * rp
+
+    def potential(self, r, lam):  # lam''
+        coeff = self.c2 + self.a_pot * r ** (-self.n)
+        return -coeff * lam - self.inv
+
+    def potential_jerk(self, r, rp, lam, lamp):  # lam'''
+        n = self.n
+        coeff = self.c2 + self.a_pot * r ** (-n)
+        drive = self.a_drive * r ** (-n - 1) * rp
+        return -coeff * lamp + drive * lam
+
+    def conserved(self, r, rp):  # the first integral
+        return rp**2 + self.c2 * r**2 + self.a_cons * r ** (2 - self.n)
+
 
 @dataclass(frozen=True)
 class OdeParams:
@@ -92,6 +135,7 @@ class OdeParams:
     n: int
     R: float
     a: float
+    _fields: _Fields = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 3:
@@ -102,6 +146,7 @@ class OdeParams:
             if not math.isfinite(v):
                 raise RangeError(f"parameter {name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
+        object.__setattr__(self, "_fields", _Fields(self.n, self.R, self.a))
 
     @property
     def c2(self) -> float:
@@ -109,48 +154,20 @@ class OdeParams:
         return self.R / (self.n * (self.n - 1))
 
 
-def _c2_ld(params: OdeParams) -> np.longdouble:
-    return _LD(params.R) / _LD(params.n * (params.n - 1))
-
-
 def warp_accel(params: OdeParams, r):
     """Second derivative of the warp factor, r'' = a r^(1-n) - c2 r."""
-    r = np.asarray(r, dtype=_LD)
-    return _LD(params.a) * r ** (1 - params.n) - _c2_ld(params) * r
-
-
-def _warp_jerk(params: OdeParams, r, rp):
-    """Third derivative r''' = (a (1-n) r^(-n) - c2) r'."""
-    r = np.asarray(r, dtype=_LD)
-    rp = np.asarray(rp, dtype=_LD)
-    return (_LD(params.a) * _LD(1 - params.n) * r ** (-params.n) - _c2_ld(params)) * rp
+    return params._fields.warp(np.asarray(r, dtype=_LD))
 
 
 def potential_accel(params: OdeParams, r, lam):
     """Second derivative of the potential,
     lam'' = -[c2 + (n-1) a r^(-n)] lam - 1/(n-1)."""
-    r = np.asarray(r, dtype=_LD)
-    lam = np.asarray(lam, dtype=_LD)
-    n = params.n
-    coeff = _c2_ld(params) + _LD((n - 1) * params.a) * r ** (-n)
-    return -coeff * lam - _LD(1) / _LD(n - 1)
-
-
-def _potential_jerk(params: OdeParams, r, rp, lam, lamp):
-    """Third derivative of the potential (derivative of potential_accel)."""
-    r = np.asarray(r, dtype=_LD)
-    n = params.n
-    coeff = _c2_ld(params) + _LD((n - 1) * params.a) * r ** (-n)
-    drive = _LD(n * (n - 1) * params.a) * r ** (-n - 1) * np.asarray(rp, dtype=_LD)
-    return -coeff * np.asarray(lamp, dtype=_LD) + drive * np.asarray(lam, dtype=_LD)
+    return params._fields.potential(np.asarray(r, dtype=_LD), np.asarray(lam, dtype=_LD))
 
 
 def conserved_quantity(params: OdeParams, r, rp):
     """First integral (r')^2 + c2 r^2 + (2a/(n-2)) r^(2-n) of the radial ODE."""
-    r = np.asarray(r, dtype=_LD)
-    rp = np.asarray(rp, dtype=_LD)
-    n = params.n
-    return rp**2 + _c2_ld(params) * r**2 + _LD(2.0 * params.a) / _LD(n - 2) * r ** (2 - n)
+    return params._fields.conserved(np.asarray(r, dtype=_LD), np.asarray(rp, dtype=_LD))
 
 
 class ProfileValues(NamedTuple):
@@ -343,56 +360,38 @@ class Profile:
 
 def _rhs_functions(params: OdeParams):
     """First- and second-derivative fields for the joint state
-    y = (r, r', lam0, lam0')."""
+    y = (r, r', lam0, lam0'), on longdouble scalars."""
+    f = params._fields
+    warp, warp_jerk = f.warp, f.warp_jerk
+    potential, potential_jerk = f.potential, f.potential_jerk
 
-    def fun(y: np.ndarray) -> np.ndarray:
+    def fun(y) -> tuple:
         r, rp, lam, lamp = y
-        return np.array(
-            [
-                rp,
-                warp_accel(params, r),
-                lamp,
-                potential_accel(params, r, lam),
-            ],
-            dtype=_LD,
-        )
+        return rp, warp(r), lamp, potential(r, lam)
 
-    def d2fun(y: np.ndarray) -> np.ndarray:
+    def d2fun(y) -> tuple:
         r, rp, lam, lamp = y
-        return np.array(
-            [
-                warp_accel(params, r),
-                _warp_jerk(params, r, rp),
-                potential_accel(params, r, lam),
-                _potential_jerk(params, r, rp, lam, lamp),
-            ],
-            dtype=_LD,
+        return (
+            warp(r),
+            warp_jerk(r, rp),
+            potential(r, lam),
+            potential_jerk(r, rp, lam, lamp),
         )
 
     return fun, d2fun
 
 
-def _mirror_grid(base: DenseSolution, degenerate: bool):
+def _mirror_grid(base: DenseSolution):
     """Full mirrored node grid and parity-extended state arrays."""
     ts = base.ts
     ys = base.ys
-    if degenerate:
-        return ts.copy(), ys[:, 0].copy(), ys[:, 1].copy(), ys[:, 2].copy(), ys[:, 3].copy()
     grid = np.concatenate([-ts[::-1], ts[1:]])
     even = lambda col: np.concatenate([ys[::-1, col], ys[1:, col]])
     odd = lambda col: np.concatenate([-ys[::-1, col], ys[1:, col]])
     return grid, even(0), odd(1), even(2), odd(3)
 
 
-def integrate_profile(
-    params: OdeParams,
-    r0: float,
-    s_max: float,
-    *,
-    rtol: float = 1e-15,
-    atol: float = 1e-18,
-    max_step: float = 0.1,
-) -> Profile:
+def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
     """Integrate the radial ODE from the anchor r(0) = r0, r'(0) = 0.
 
     Returns a partial profile (no potential attached) on the mirrored window
@@ -402,18 +401,26 @@ def integrate_profile(
     Raises
     ------
     RangeError
-        If r0 or s_max is not positive.
+        If r0 or s_max is not positive, or r0^(1-n) overflows longdouble.
     NonPositiveRadius
         If the warp factor collapses toward zero inside the window.
+    StepFailure
+        If the integration cannot meet its tolerance within its step budget.
     """
     if not (math.isfinite(r0) and r0 > 0.0):
         raise RangeError(f"anchor radius must be positive, got {r0!r}")
     if not (math.isfinite(s_max) and s_max > 0.0):
         raise RangeError(f"window half-length must be positive, got {s_max!r}")
 
+    # In longdouble: r0^(1-n) overflows float64 already for r0 ~ 1e-200.
+    with np.errstate(over="ignore"):
+        r0_pow = _LD(r0) ** (1 - params.n)
+    if not np.isfinite(r0_pow):
+        raise RangeError(f"anchor radius {r0!r} is out of range: r0^(1-n) overflows")
     racc0 = warp_accel(params, _LD(r0))
-    scale = abs(params.a) * float(r0) ** (1 - params.n) + abs(params.c2) * r0 + 1.0
-    if abs(float(racc0)) < _CONSTANT_TOL * scale:
+    f = params._fields
+    scale = abs(f.a) * r0_pow + abs(f.c2) * r0 + 1
+    if abs(racc0) < _CONSTANT_TOL * scale:
         # Constant solution: r identically r0.  Admits no potential.
         grid = np.linspace(_LD(-s_max), _LD(s_max), 801)
         r = np.full(grid.shape, _LD(r0))
@@ -439,14 +446,7 @@ def integrate_profile(
     fun, d2fun = _rhs_functions(params)
     floor = _RADIUS_FLOOR * r0
     base, hit = integrate(
-        fun,
-        d2fun,
-        y0,
-        (0.0, float(s_max)),
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-        guard=lambda y: y[0] <= floor,
+        fun, d2fun, y0, (0.0, float(s_max)), guard=lambda y: y[0] <= floor, **_TOLS
     )
     if hit:
         raise NonPositiveRadius(
@@ -454,7 +454,7 @@ def integrate_profile(
             "the profile leaves the positive-radius regime inside the window"
         )
 
-    grid, r, rp, lam0, lam0p = _mirror_grid(base, degenerate=False)
+    grid, r, rp, lam0, lam0p = _mirror_grid(base)
     kappa0_ld = conserved_quantity(params, _LD(r0), _LD(0.0))
     cons = conserved_quantity(params, r, rp) - kappa0_ld
     cons_rel = float(np.max(np.abs(cons)) / max(abs(float(kappa0_ld)), 1.0))
@@ -777,48 +777,30 @@ def extend_base(profile: Profile, *, r_target: float) -> DenseSolution:
     if ext is not None and float(ext.ys[-1, 0]) >= r_target:
         return ext
     start = ext if ext is not None else profile._base
-    t0 = float(start.ts[-1])
-    y0 = start.ys[-1].copy()
     fun, d2fun = _rhs_functions(profile.params)
 
     # March in fixed spans until the radius target is met.
     span = max(2.0, 0.5 * profile.s_max)
-    pieces_ts = [start.ts] if ext is not None else [profile._base.ts]
-    pieces_ys = [start.ys] if ext is not None else [profile._base.ys]
-    pieces_dys = [start.dys] if ext is not None else [profile._base.dys]
-    pieces_d2ys = [start.d2ys] if ext is not None else [profile._base.d2ys]
-    nfev = start.nfev
-    guard_level = 0.0
+    segs: list[DenseSolution] = []
+    last = start
     for _ in range(200):
-        if float(y0[0]) >= r_target:
+        if float(last.ys[-1, 0]) >= r_target:
             break
-        seg, _hit = integrate(
-            fun,
-            d2fun,
-            y0,
-            (t0, t0 + span),
-            rtol=1e-15,
-            atol=1e-18,
-            max_step=0.1,
-        )
-        pieces_ts.append(seg.ts[1:])
-        pieces_ys.append(seg.ys[1:])
-        pieces_dys.append(seg.dys[1:])
-        pieces_d2ys.append(seg.d2ys[1:])
-        t0 = float(seg.ts[-1])
-        y0 = seg.ys[-1].copy()
-        nfev += seg.nfev
+        t0 = float(last.ts[-1])
+        last, _hit = integrate(fun, d2fun, last.ys[-1], (t0, t0 + span), **_TOLS)
+        segs.append(last)
         span = min(2.0 * span, 50.0)
     else:
         raise OutOfRange(
             f"radius target {r_target:.3g} not reached while extending profile"
         )
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(start, name)] + [getattr(g, name)[1:] for g in segs])
+
     ext = DenseSolution(
-        ts=np.concatenate(pieces_ts),
-        ys=np.concatenate(pieces_ys),
-        dys=np.concatenate(pieces_dys),
-        d2ys=np.concatenate(pieces_d2ys),
-        nfev=nfev,
+        joined("ts"), joined("ys"), joined("dys"), joined("d2ys"),
+        nfev=start.nfev + sum(g.nfev for g in segs),
     )
     profile._extension = ext
     return ext

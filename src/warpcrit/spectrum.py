@@ -11,7 +11,8 @@ psi = w^{1/2} phi symmetrizes it into the Schroedinger form
     U = (n-1)/2 * r''/r + (n-1)(n-3)/4 * (r'/r)^2,
 
 discretized by second-order centered differences into a symmetric
-tridiagonal matrix whose lowest eigenvalue comes from Sturm-count bisection.
+tridiagonal matrix whose lowest eigenpair comes from
+``scipy.linalg.eigh_tridiagonal``.
 Step-halving plus Richardson extrapolation gives the eigenvalue estimate and
 an error bound.
 

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["bisect_root", "bisect_monotone", "gauss_legendre"]
+__all__ = ["bisect_root", "gauss_legendre"]
 
 
 def bisect_root(
@@ -47,20 +47,6 @@ def bisect_root(
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-def bisect_monotone(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-12,
-    increasing: bool = True,
-) -> float:
-    """Solve ``f(x) = target`` for monotone ``f`` on [lo, hi] by bisection."""
-    sign = 1.0 if increasing else -1.0
-    return bisect_root(lambda x: sign * (float(f(x)) - target), lo, hi, tol=tol)
 
 
 @lru_cache(maxsize=8)

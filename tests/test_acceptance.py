@@ -138,7 +138,7 @@ def test_criterion_3_einstein_closed_forms():
         )
         fwd, _ = rk45.integrate(fun, d2fun, y0, (1.0, 3.0))
         bwd, _ = rk45.integrate(  # time-reversed system covers [0, 1]
-            lambda y: -fun(y), d2fun, y0, (0.0, 1.0)
+            lambda y: tuple(-v for v in fun(y)), d2fun, y0, (0.0, 1.0)
         )
         grid = np.linspace(0.0, 3.0, 3001)
         exact = ref.sample(grid)

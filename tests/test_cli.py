@@ -202,6 +202,29 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, codes",
+    [
+        # 1e7 steps of max_step: beyond the integrator's step budget.
+        ({"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "s_max": 1e6}, (3,)),
+        # r0^(1-n) = 1e400 overflows float64.
+        ({"n": 3, "R": 0.0, "a": 1.0, "r0": 1e-200}, (2, 3)),
+    ],
+    ids=["huge_window", "tiny_r0"],
+)
+def test_out_of_range_construct_fails_cleanly(tmp_path, config, codes):
+    cfg = _write_config(tmp_path / "c.json", config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpcrit.cli",
+         "construct", "--config", cfg, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_unknown_tol_name_exits_2(tmp_path):
     cfg = _write_config(
         tmp_path / "c.json",
