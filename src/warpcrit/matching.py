@@ -26,7 +26,7 @@ formula error is below 1e-10 of the total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,7 @@ from .errors import (
 from .profiles import (
     OdeParams,
     Profile,
-    conserved_quantity,
+    _node_roots,
     extend_base,
     find_roots,
     integrate_profile,
@@ -86,7 +86,7 @@ _ROOT_PAD = 1e-9
 # Default truncation radius for improper tails; pushed further adaptively.
 _TAIL_RADIUS = 2000.0
 
-# Default absolute tolerance on matched root positions.
+# Absolute tolerance on matched root positions.
 _ZETA_TOL = 1e-12
 
 
@@ -198,18 +198,18 @@ class RootClassification:
 # ----------------------------------------------------------------------
 
 
-def _integrand(profile: Profile, pts: np.ndarray) -> np.ndarray:
-    v = profile.sample_base(pts)
-    return v[0] / v[1] ** 2
+def _panel_quad(sample: Callable, nodes: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of r/(r')^2 over consecutive node panels.
 
-
-def _panel_quad(profile: Profile, nodes: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integrals of r/(r')^2 over consecutive node panels."""
+    ``sample`` maps arclengths to the rows (r, r', ...), as
+    ``Profile.sample_base`` does.
+    """
     gx, gw = gauss_legendre(_GL_ORDER)
     starts = nodes[:-1]
     lens = np.diff(nodes)
     pts = starts[:, None] + lens[:, None] * gx[None, :]
-    f = _integrand(profile, pts.ravel()).reshape(pts.shape)
+    v = sample(pts.ravel())
+    f = (v[0] / v[1] ** 2).reshape(pts.shape)
     return lens * (f @ gw)
 
 
@@ -229,13 +229,7 @@ def _quad_between(profile: Profile, lo: float, hi: float) -> float:
     inner = profile.grid[(profile.grid > lo) & (profile.grid < hi)]
     nodes = np.concatenate([[_LD(lo)], np.asarray(inner, dtype=_LD), [_LD(hi)]])
     nodes = _subdivided(nodes)
-    return float(np.sum(_panel_quad(profile, nodes)))
-
-
-def _first_positive_rp_root(profile: Profile) -> float | None:
-    roots = find_roots(profile).rp_roots
-    pos = roots[roots > 1e-12]
-    return float(pos.min()) if pos.size else None
+    return float(np.sum(_panel_quad(profile.sample_base, nodes)))
 
 
 def _check_no_critical_points(profile: Profile, lo: float, hi: float) -> None:
@@ -262,19 +256,6 @@ def _tail_mass(params: OdeParams) -> float:
     return math.sqrt(-params.R / (params.n * (params.n - 1)))
 
 
-class _ExtensionView:
-    """Evaluate base quantities through the outward extension."""
-
-    def __init__(self, profile: Profile, ext):
-        self.profile = profile
-        self.ext = ext
-
-    def sample_base(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=_LD))
-        y = self.ext(s)
-        return y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-
-
 def _improper_from(
     profile: Profile, s_from: float, r_truncation: float | None = None
 ) -> float:
@@ -285,11 +266,8 @@ def _improper_from(
     r_target = _TAIL_RADIUS if r_truncation is None else float(r_truncation)
     for _ in range(24):
         ext = extend_base(profile, r_target=r_target)
-        view = _ExtensionView(profile, ext)
-        past = ext.ts[ext.ts > profile.s_max]
-        nodes = np.concatenate([[_LD(profile.s_max)], past])
-        nodes = _subdivided(nodes, 2)
-        body_out = float(np.sum(_panel_quad(view, nodes)))
+        nodes = _subdivided(ext.ts, 2)
+        body_out = float(np.sum(_panel_quad(lambda s: ext(s).T, nodes)))
         rS = float(ext.ys[-1, 0])
         rpS = float(ext.ys[-1, 1])
         tail = params.n * (params.n - 1) / ((-params.R) * rpS)
@@ -390,10 +368,10 @@ class _CumulativeTable:
         part = 0.0
         if x > lo:
             nodes = np.array([lo, x], dtype=_LD)
-            part = float(np.sum(_panel_quad(self.profile, _subdivided(nodes))))
+            part = float(np.sum(_panel_quad(self.profile.sample_base, _subdivided(nodes))))
         return float(self.prefix[k]) + part - self.theta_offset
 
-    def solve(self, target: float, *, tol: float = _ZETA_TOL) -> float:
+    def solve(self, target: float) -> float:
         """Solve G(x) = target; G is strictly increasing."""
         lo = float(self.xs[0])
         g_lo = self.value(lo)
@@ -422,7 +400,7 @@ class _CumulativeTable:
                 raise OutOfRange(
                     "matching target unreachable below the critical point"
                 )
-        return bisect_root(lambda x: self.value(x) - target, lo, hi, tol=tol,
+        return bisect_root(lambda x: self.value(x) - target, lo, hi, tol=_ZETA_TOL,
                            f_lo=g_lo - target, f_hi=g_hi - target)
 
 
@@ -434,14 +412,14 @@ def _get_table(profile: Profile) -> _CumulativeTable:
             "boundary matching requires a nonconstant even profile"
         )
     theta = profile.theta
-    s1 = _first_positive_rp_root(profile)
+    s1 = find_roots(profile).s1
     limit = min(profile.s_max, s1) if s1 is not None else profile.s_max
     ts = np.asarray(profile._base.ts, dtype=_LD)
     keep = (ts > 0) & (ts < limit - _ROOT_PAD)
     nodes = ts[keep]
     nodes = np.unique(np.concatenate([nodes, [_LD(theta)]]))
     nodes = _subdivided(nodes)
-    panels = _panel_quad(profile, nodes)
+    panels = _panel_quad(profile.sample_base, nodes)
     prefix = np.concatenate([[0.0], np.cumsum(panels, dtype=_LD)]).astype(float)
     i_theta = int(np.argmin(np.abs(nodes - _LD(theta))))
     table = _CumulativeTable(
@@ -568,9 +546,7 @@ def classify_roots(profile: Profile, *, tol: float = 1e-10) -> RootClassificatio
     )
 
 
-def match_boundary(
-    profile: Profile, zeta1: float, *, tol: float = _ZETA_TOL
-) -> MatchResult:
+def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
     """Pair the outer root zeta1 > 0 with its partner zeta2 < 0.
 
     Solves the integral matching relation on the cumulative table, then
@@ -608,25 +584,19 @@ def match_boundary(
             )
     C = g1 / (params.n - 1)
 
-    y = table.solve(-g1, tol=tol)
+    y = table.solve(-g1)
     zeta2 = -y
 
     # Cross-check: direct root of the completed potential near zeta2.
     complete = profile if (profile.complete and profile.C == C) else solve_potential(profile, C)
     lam_f = lambda s: float(complete.sample(s).lam[0])
     lo = max(profile.s_min, -table.limit + _ROOT_PAD)
-    xs = np.linspace(lo, -1e-9, 4096)
-    lam_vals = np.asarray(complete.sample(xs).lam, dtype=float)
-    sgn = np.sign(lam_vals)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    if flips.size == 0:
+    cands = _node_roots(complete.grid, complete.lam, lam_f, _ZETA_TOL, lo=lo, hi=-1e-9)
+    if not cands:
         raise VerificationError(
             "integral matching produced C with no negative potential root; "
             "the two characterizations disagree"
         )
-    cands = []
-    for i in flips:
-        cands.append(bisect_root(lam_f, xs[i], xs[i + 1], tol=tol))
     zeta2_root = min(cands, key=lambda t: abs(t - zeta2))
 
     g_left = -table.value(y)  # int_{-theta}^{zeta2} by evenness

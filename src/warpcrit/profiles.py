@@ -77,6 +77,12 @@ _RADIUS_FLOOR = 1e-6
 # Integrator settings of every profile, shared by its outward extensions.
 _TOLS = {"rtol": 1e-15, "atol": 1e-18, "max_step": 0.1}
 
+# Absolute tolerance of the roots find_roots reports.
+_ROOT_TOL = 1e-12
+
+# Grid points of a closed-form space form; its roots are bracketed on them.
+_SPACE_FORM_POINTS = 2001
+
 
 class _Fields:
     """The radial fields with their longdouble coefficients, built once.
@@ -197,6 +203,12 @@ class RootSet:
     lam_roots: np.ndarray | None
     period: float | None
     constant_solution: bool
+
+    @property
+    def s1(self) -> float | None:
+        """First positive critical point of r, if any."""
+        pos = self.rp_roots[self.rp_roots > 0.0]
+        return float(pos[0]) if pos.size else None
 
     @property
     def zeta1(self) -> float | None:
@@ -324,9 +336,11 @@ class Profile:
     def theta(self) -> float:
         """Unique positive root of the even potential branch lam0.
 
-        For R > 0 the search is confined to (0, s1) with s1 the first
-        positive critical point of r; for R <= 0 it runs over (0, s_max].
-        Raises OutOfRange when no sign change is found (enlarge s_max).
+        Sign changes of lam0 are bracketed on the integrator's step nodes,
+        where its values are stored, and bisected on the dense output.  For
+        R > 0 the search is confined to (0, s1) with s1 the first positive
+        critical point of r; for R <= 0 it runs over (0, s_max].  Raises
+        OutOfRange when no sign change is found (enlarge s_max).
         """
         if self._theta is not None:
             return self._theta
@@ -336,26 +350,19 @@ class Profile:
             raise InvalidRegime(
                 "even potential branch undefined for pole-anchored profiles"
             )
-        hi = self.s_max
-        if self.params.R > 0:
-            roots = find_roots(self).rp_roots
-            pos = roots[roots > 1e-14]
-            if pos.size:
-                hi = min(hi, float(pos.min()))
+        s1 = find_roots(self).s1 if self.params.R > 0 else None
         f = lambda s: float(self.sample_base(s)[2][0])
-        xs = np.linspace(1e-12, hi * (1 - 1e-12), 4096)
-        vals = np.asarray(self.sample_base(xs)[2], dtype=float)
-        sgn = np.sign(vals)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if flips.size == 0:
+        base = self._base
+        roots = _node_roots(
+            base.ts, base.ys[:, 2], f, 1e-13, lo=1e-12, hi=self.s_max if s1 is None else s1
+        )
+        if not roots:
             raise OutOfRange(
                 "even potential branch has no sign change on the window; "
                 "increase s_max"
             )
-        i = flips[0]
-        theta = bisect_root(f, xs[i], xs[i + 1], tol=1e-13)
-        object.__setattr__(self, "_theta", theta)
-        return theta
+        self._theta = roots[0]
+        return self._theta
 
 
 def _rhs_functions(params: OdeParams):
@@ -529,7 +536,6 @@ def space_form_profile(
     lambda_p: float,
     s_max: float,
     n: int = 3,
-    grid_points: int = 2001,
 ) -> Profile:
     """Closed-form constant-curvature profile anchored at a pole r = 0.
 
@@ -579,7 +585,7 @@ def space_form_profile(
             s = np.asarray(s, dtype=_LD)
             return np.sinh(s), np.cosh(s), amp * np.cosh(s) + inv, amp * np.sinh(s)
 
-    grid = np.linspace(_LD(0.0), _LD(s_max), grid_points)
+    grid = np.linspace(_LD(0.0), _LD(s_max), _SPACE_FORM_POINTS)
     r, rp, lam, lamp = closed(grid)
     return Profile(
         params=params,
@@ -686,28 +692,36 @@ def solve_radius_for_kappa0(
     return bisect_root(lambda r: F(r) - kappa0, lo, hi, tol=tol * hi)
 
 
-def _scan_roots(f_vals: np.ndarray, xs: np.ndarray, f, tol: float) -> list[float]:
-    """Bisect every sign change of sampled values ``f_vals`` on nodes ``xs``."""
-    out: list[float] = []
-    sgn = np.sign(f_vals)
-    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    for i in idx:
-        out.append(bisect_root(f, xs[i], xs[i + 1], tol=tol))
-    zero = np.nonzero(sgn == 0)[0]
-    for i in zero:
-        out.append(float(xs[i]))
-    return sorted(out)
+def _node_roots(xs, f_vals, f, tol: float, lo=-math.inf, hi=math.inf) -> list[float]:
+    """Roots in [lo, hi] of ``f``, bracketed on its values ``f_vals`` at nodes ``xs``.
+
+    Each sign change between consecutive (ascending) nodes is bisected to
+    within ``tol``, starting from the stored values; a node where ``f_vals``
+    is exactly zero is a root.  The segments straddling ``lo`` and ``hi``
+    are searched too, so a root between a window edge and the nearest node
+    inside is kept; roots outside [lo, hi] are dropped.
+    """
+    i = max(int(np.searchsorted(xs, lo, side="right")) - 1, 0)
+    j = int(np.searchsorted(xs, hi, side="left")) + 1
+    xs, vals = xs[i:j], f_vals[i:j]
+    sgn = np.sign(vals)
+    out = [float(x) for x in xs[sgn == 0]]
+    for k in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        out.append(
+            bisect_root(f, xs[k], xs[k + 1], tol=tol, f_lo=vals[k], f_hi=vals[k + 1])
+        )
+    return sorted(t for t in out if lo <= t <= hi)
 
 
-def find_roots(
-    profile: Profile, *, scan_step: float = 1e-3, tol: float = 1e-12
-) -> RootSet:
+def find_roots(profile: Profile) -> RootSet:
     """Locate roots of r' and of the potential on the profile window.
 
-    Roots are first bracketed on a uniform scan of spacing ``scan_step`` and
-    then polished by bisection on the dense solution to within ``tol``.  For
-    R > 0 the period of the warp factor (distance between consecutive anchor
-    returns) is reported.
+    Roots are bracketed on the profile's grid from the values of r' and lam
+    stored there -- for an integrated profile the mirrored step nodes of
+    the integrator, for a closed-form space form a uniform grid -- and
+    polished by bisection on the dense solution to within 1e-12.  For
+    R > 0 the period of the warp factor (distance between consecutive
+    anchor returns) is reported.
     """
     cached = profile._roots
     if cached is not None and (cached.lam_roots is not None or not profile.complete):
@@ -724,15 +738,11 @@ def find_roots(
         return rs
 
     lo = profile.s_min + (1e-12 if profile.degenerate_origin else 0.0)
-    num = max(64, int(math.ceil((profile.s_max - lo) / scan_step)) + 1)
-    xs = np.linspace(lo, profile.s_max, num)
-    vals = profile.sample(xs)
-
     rp_f = lambda s: float(profile.sample(s).rp[0])
-    rp_roots = _scan_roots(np.asarray(vals.rp, dtype=float), xs, rp_f, tol)
+    rp_roots = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=lo)
     if not profile.degenerate_origin:
-        # Anchor root is exact by construction; replace any scanned copy.
-        rp_roots = [t for t in rp_roots if abs(t) > 10 * tol]
+        # Anchor root is exact by construction; replace any bracketed copy.
+        rp_roots = [t for t in rp_roots if abs(t) > 10 * _ROOT_TOL]
         rp_roots.append(0.0)
         rp_roots = sorted(rp_roots)
     kinds = tuple(
@@ -744,12 +754,12 @@ def find_roots(
     if profile.complete:
         lam_f = lambda s: float(profile.sample(s).lam[0])
         lam_roots = np.array(
-            _scan_roots(np.asarray(vals.lam, dtype=float), xs, lam_f, tol), dtype=float
+            _node_roots(profile.grid, profile.lam, lam_f, _ROOT_TOL, lo=lo), dtype=float
         )
 
     period = None
     if profile.params.R > 0 and not profile.degenerate_origin:
-        pos = [t for t in rp_roots if t > 10 * tol]
+        pos = [t for t in rp_roots if t > 10 * _ROOT_TOL]
         if len(pos) >= 2:
             period = float(pos[1])
 
@@ -768,21 +778,24 @@ def extend_base(profile: Profile, *, r_target: float) -> DenseSolution:
     """Continue the base integration beyond s_max until r >= r_target.
 
     Used for improper boundary-matching integrals on unbounded windows
-    (R < 0, where r grows like cosh).  The extension is cached and does not
-    alter the profile's grid or window.
+    (R < 0, where r grows like cosh).  The extension covers [s_max, end]
+    only: it starts at the base's last node and holds the outward segments.
+    It is cached and does not alter the profile's grid or window.
     """
-    if profile._base is None:
+    base = profile._base
+    if base is None:
         raise InvalidRegime("profile has no dense base to extend")
     ext = profile._extension
-    if ext is not None and float(ext.ys[-1, 0]) >= r_target:
+    if ext is None:
+        ext = DenseSolution(base.ts[-1:], base.ys[-1:], base.dys[-1:], base.d2ys[-1:])
+    if float(ext.ys[-1, 0]) >= r_target:
         return ext
-    start = ext if ext is not None else profile._base
     fun, d2fun = _rhs_functions(profile.params)
 
     # March in fixed spans until the radius target is met.
     span = max(2.0, 0.5 * profile.s_max)
     segs: list[DenseSolution] = []
-    last = start
+    last = ext
     for _ in range(200):
         if float(last.ys[-1, 0]) >= r_target:
             break
@@ -796,11 +809,11 @@ def extend_base(profile: Profile, *, r_target: float) -> DenseSolution:
         )
 
     def joined(name: str) -> np.ndarray:
-        return np.concatenate([getattr(start, name)] + [getattr(g, name)[1:] for g in segs])
+        return np.concatenate([getattr(ext, name)] + [getattr(g, name)[1:] for g in segs])
 
     ext = DenseSolution(
         joined("ts"), joined("ys"), joined("dys"), joined("d2ys"),
-        nfev=start.nfev + sum(g.nfev for g in segs),
+        nfev=ext.nfev + sum(g.nfev for g in segs),
     )
     profile._extension = ext
     return ext

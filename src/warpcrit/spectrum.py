@@ -46,6 +46,7 @@ from .errors import (
     GridTooCoarse,
     InvalidRegime,
     OutOfGrid,
+    OutOfRange,
     RangeError,
 )
 from .profiles import (
@@ -309,7 +310,8 @@ def verify_eigenvalue_signs(
     for a minimum of r at s = 0, negative for a maximum); and, in the
     minimum phase, positivity on the symmetric interval of the even
     potential used by the quotient construction.  The weighted integral
-    identity is evaluated on the matched interval.
+    identity is evaluated on the matched interval.  Raises OutOfRange when
+    the window holds no positive critical point of r.
     """
     if params.R <= 0.0 or params.a <= 0.0:
         raise InvalidRegime(
@@ -322,7 +324,11 @@ def verify_eigenvalue_signs(
         )
     profile = solve_potential(profile, C)
     roots = find_roots(profile)
-    s1 = roots.rp_roots[roots.rp_roots > 1e-12][0]
+    s1 = roots.s1
+    if s1 is None:
+        raise OutOfRange(
+            f"no critical point of r in (0, {s_max:.6g}]; increase s_max"
+        )
     phase = "min" if float(warp_accel(params, np.longdouble(r0))) > 0.0 else "max"
 
     zero_mode = first_dirichlet_eigenvalue(profile, (0.0, float(s1)), num=num)

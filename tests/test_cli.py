@@ -203,20 +203,23 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, codes",
+    "command, config, codes",
     [
         # 1e7 steps of max_step: beyond the integrator's step budget.
-        ({"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "s_max": 1e6}, (3,)),
+        ("construct", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "s_max": 1e6}, (3,)),
         # r0^(1-n) = 1e400 overflows float64.
-        ({"n": 3, "R": 0.0, "a": 1.0, "r0": 1e-200}, (2, 3)),
+        ("construct", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1e-200}, (2, 3)),
+        # The window ends before the first positive critical point of r.
+        ("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "C": 0.1, "signs": True,
+                      "r0": 0.8, "s_max": 0.5}, (2,)),
     ],
-    ids=["huge_window", "tiny_r0"],
+    ids=["huge_window", "tiny_r0", "signs_no_critical_point"],
 )
-def test_out_of_range_construct_fails_cleanly(tmp_path, config, codes):
+def test_out_of_range_construct_fails_cleanly(tmp_path, command, config, codes):
     cfg = _write_config(tmp_path / "c.json", config)
     proc = subprocess.run(
         [sys.executable, "-m", "warpcrit.cli",
-         "construct", "--config", cfg, "--out", str(tmp_path)],
+         command, "--config", cfg, "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode in codes, proc.stderr

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from warpcrit import (
     DegenerateInitial,
@@ -25,6 +26,7 @@ from warpcrit import (
     solve_radius_for_kappa0,
     space_form_profile,
 )
+from warpcrit.profiles import _node_roots
 
 # Parameter samples covering every sign regime (n, R, a).
 REGIMES = [
@@ -291,6 +293,66 @@ def test_grid_arrays_match_dense_samples():
     vals = prof.sample(prof.grid)
     assert np.array_equal(np.asarray(vals.r), np.asarray(prof.r))
     assert np.array_equal(np.asarray(vals.lam), np.asarray(prof.lam))
+
+
+# ----------------------------------------------------------------------
+# Root engine
+# ----------------------------------------------------------------------
+
+
+def test_node_roots_on_uneven_nodes():
+    # Roots 0.25, 1, pi and 5.5; node 1.0 is an exact zero.
+    f = lambda x: (x - 0.25) * (x - 1.0) * (x - math.pi) * (x - 5.5)
+    xs = np.array([0.0, 0.1, 0.45, 1.0, 1.7, 2.2, 3.0, 3.3, 4.1, 5.2, 6.0])
+    vals = np.array([f(x) for x in xs])
+    assert vals[3] == 0.0
+    # 0.25 and 5.5 sit in the segments straddling lo and hi but outside
+    # [lo, hi]: bracketed, then dropped.
+    got = _node_roots(xs, vals, f, 1e-13, lo=0.3, hi=5.4)
+    assert len(got) == 2
+    assert got[0] == 1.0
+    assert abs(got[1] - math.pi) < 1e-12
+    # pi lies between lo = 3.1 and the first node inside the window.
+    got = _node_roots(xs, vals, f, 1e-13, lo=3.1, hi=6.0)
+    assert len(got) == 2
+    assert abs(got[0] - math.pi) < 1e-12 and abs(got[1] - 5.5) < 1e-12
+    # No window: every root.
+    got = _node_roots(xs, vals, f, 1e-13)
+    assert np.allclose(got, [0.25, 1.0, math.pi, 5.5], rtol=0.0, atol=1e-12)
+
+
+def _fine_scan_roots(g, lo, hi, step=1e-4):
+    """Sign changes of g on a uniform scan, refined by Brent's method."""
+    xs = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1) * step
+    vals = g(xs)
+    out = list(xs[vals == 0.0])
+    f = lambda x: float(g(np.array([x]))[0])
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+        out.append(brentq(f, xs[i], xs[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps))
+    return np.sort(out)
+
+
+@pytest.mark.parametrize(
+    "params, r0, s_max",
+    [
+        (OdeParams(n=3, R=-6.0, a=1.0), 1.0, 4.0),
+        (OdeParams(n=3, R=0.0, a=1.0), 1.0, 6.0),
+        (OdeParams(n=3, R=6.0, a=1.0), 0.8, 6.0),
+    ],
+    ids=["negative_R", "zero_R", "positive_R"],
+)
+def test_find_roots_matches_fine_scan(params, r0, s_max):
+    base = integrate_profile(params, r0=r0, s_max=s_max)
+    for C in (-1.0, 0.0, 0.4):
+        prof = solve_potential(base, C)
+        roots = find_roots(prof)
+        rp = lambda s: np.asarray(prof.sample(s).rp, dtype=float)
+        lam = lambda s: np.asarray(prof.sample(s).lam, dtype=float)
+        for got, g in ((roots.rp_roots, rp), (roots.lam_roots, lam)):
+            want = _fine_scan_roots(g, -s_max, s_max)
+            print(f"{params} C={C}: {len(got)} roots, scan {len(want)}")
+            assert len(got) == len(want), (got, want)
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-11, (got, want)
 
 
 if __name__ == "__main__":
