@@ -47,9 +47,9 @@ from .profiles import OdeParams, Profile, find_roots, integrate_profile, solve_p
 from .serialize import (
     profile_from_arrays,
     read_profile_csv,
+    write_csv,
     write_envelope,
     write_profile_csv,
-    write_text_atomic,
 )
 from .spectrum import first_dirichlet_eigenvalue, verify_eigenvalue_signs
 
@@ -196,12 +196,18 @@ def _resample(profile: Profile, step: float) -> Profile:
     count = int(math.floor(span / step + 1e-12))
     if count < 2:
         raise ConfigError("--grid-step leaves fewer than 3 samples")
-    grid = profile.s_min + step * np.arange(count + 1)
-    v = profile.sample(grid)
-    return replace(
-        profile, grid=v.s, r=v.r, rp=v.rp, lam=v.lam, lamp=v.lamp,
-        _roots=None, _gtable=None,
+    grid = np.asarray(profile.s_min + step * np.arange(count + 1), dtype=np.longdouble)
+    if profile.constant_solution:
+        v = profile.sample(grid)
+        return replace(profile, grid=grid, r=v.r, rp=v.rp, _roots=None, _gtable=None)
+    # The even branch moves with the grid, so the export stays a profile that
+    # solve_potential accepts; lam and lamp are then formed as sample forms them.
+    r, rp, lam0, lam0p = profile.sample_base(grid)
+    export = replace(
+        profile, grid=grid, r=r, rp=rp, lam=None, lamp=None, C=None,
+        _lam0=lam0, _lam0p=lam0p, _roots=None, _gtable=None,
     )
+    return export if profile.C is None else solve_potential(export, profile.C)
 
 
 def _roots_record(profile: Profile) -> dict:
@@ -428,11 +434,9 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict]:
     }
     if config.get("eigenvector_csv", False):
         csv_name = f"{tag}_eigenvector.csv"
-        rows = ["s,phi"] + [
-            f"{format(float(s), '.17g')},{format(float(p), '.17g')}"
-            for s, p in zip(result.nodes, result.eigenvector)
-        ]
-        write_text_atomic(os.path.join(ctx["out"], csv_name), "\n".join(rows) + "\n")
+        write_csv(
+            os.path.join(ctx["out"], csv_name), "s,phi", (result.nodes, result.eigenvector)
+        )
         payload["outputs"] = {"eigenvector_csv": csv_name}
     write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
     print(f"spectrum: gamma1={result.gamma1:.12g} sign={result.sign}")

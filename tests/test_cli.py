@@ -23,9 +23,10 @@ from warpcrit import (
     verify_critical,
     write_profile_csv,
 )
-from warpcrit.cli import main
+from warpcrit.cli import _resample, main
 from warpcrit.profiles import find_roots
-from warpcrit.serialize import dump_json
+from warpcrit.serialize import _fmt, dump_json, write_csv
+from warpcrit.spectrum import first_dirichlet_eigenvalue
 
 
 def _write_config(path, payload):
@@ -91,6 +92,45 @@ def test_csv_header_check(tmp_path):
         read_profile_csv(str(path))
 
 
+def _reference_csv(header, columns):
+    """The per-value loop that the one-pass table writer replaced."""
+    rows = [header]
+    for row in zip(*(np.asarray(c, dtype=float) for c in columns)):
+        rows.append(",".join(_fmt(v) for v in row))
+    return "\n".join(rows) + "\n"
+
+
+def test_write_csv_matches_per_value_reference(tmp_path):
+    edge = np.array([
+        0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan,
+        # These need all 17 significant digits to round-trip.
+        0.1, 1.0 / 3.0, math.pi, 1.0 + 2.0**-52, -1.2345678901234567e-5,
+        1.7976931348623157e308, 2.2250738585072014e-308,
+    ])
+    columns = (edge, edge[::-1], np.roll(edge, 5))
+    path = tmp_path / "t.csv"
+    write_csv(str(path), "a,b,c", columns)
+    text = path.read_text()
+    assert text == _reference_csv("a,b,c", columns)
+    assert "inf" not in text, "non-finite values are written as nan"
+    assert "0.10000000000000001" in text and "-0," in text
+
+
+@pytest.mark.parametrize("C", [None, 0.3], ids=["partial", "complete"])
+def test_write_profile_csv_matches_per_value_reference(tmp_path, C):
+    prof = integrate_profile(OdeParams(n=3, R=-6.0, a=1.0), 1.0, 3.0)
+    if C is not None:
+        prof = solve_potential(prof, C)
+    path = tmp_path / "p.csv"
+    write_profile_csv(str(path), prof)
+    nan = np.full(prof.grid.shape, np.nan)
+    columns = (
+        prof.grid, prof.r, prof.rp,
+        nan if C is None else prof.lam, nan if C is None else prof.lamp,
+    )
+    assert path.read_text() == _reference_csv("s,r,rp,lam,lamp", columns)
+
+
 # ----------------------------------------------------------------------
 # construct
 # ----------------------------------------------------------------------
@@ -151,6 +191,23 @@ def test_construct_grid_step(tmp_path):
     cols = read_profile_csv(str(tmp_path / "profile.csv"))
     assert cols["s"].size == 9
     assert np.allclose(np.diff(cols["s"]), 0.5, rtol=0, atol=1e-15)
+
+
+def test_resample_carries_even_branch():
+    base = integrate_profile(OdeParams(n=3, R=0.0, a=1.0), 1.0, 3.0)
+    export = _resample(solve_potential(base, 0.2), 1e-2)
+    assert export.grid.size == 601
+    want = solve_potential(base, 0.2).sample(export.grid)
+    for name in ("r", "rp", "lam", "lamp"):
+        assert np.array_equal(getattr(export, name), getattr(want, name)), name
+    # The export must accept a new potential on its own grid.
+    again = solve_potential(export, 0.3)
+    want = solve_potential(base, 0.3).sample(export.grid)
+    assert np.array_equal(again.lam, want.lam)
+    assert np.array_equal(again.lamp, want.lamp)
+    partial = _resample(base, 1e-2)
+    assert partial.lam is None and partial.C is None
+    assert np.array_equal(solve_potential(partial, 0.3).lam, want.lam)
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +440,15 @@ def test_spectrum_zero_mode_command(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
     env = _read_json(tmp_path / "spectrum.json")
     assert env["spectral"]["sign"] == "ZERO"
-    vec = (tmp_path / "spectrum_eigenvector.csv").read_text().splitlines()
+    text = (tmp_path / "spectrum_eigenvector.csv").read_text()
+    vec = text.splitlines()
     assert vec[0] == "s,phi" and len(vec) > 100
+    result = first_dirichlet_eigenvalue(prof, (0.0, s1), num=512)
+    rows = ["s,phi"] + [
+        f"{format(float(s), '.17g')},{format(float(p), '.17g')}"
+        for s, p in zip(result.nodes, result.eigenvector)
+    ]
+    assert text == "\n".join(rows) + "\n"
 
 
 def test_spectrum_signs_command(tmp_path):
