@@ -9,9 +9,14 @@ Subcommands
     example1       end-to-end two-boundary domain with verification
     example2       end-to-end reflection-quotient domain with verification
 
+A command validates, computes, writes its CSVs and returns (exit code,
+payload, summary line).  One runner, ``_run_task``, does the rest for a
+single run and for every entry of a ``"sweep": [...]`` config (fanned out
+over a process pool): it writes ``<tag>.json``, prints the summary line, and
+maps an exception to its exit code and one ``error:`` line on stderr.
+
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
-3 numerical failure.  Any command accepts ``"sweep": [...]`` in its config
-to fan the run out over a process pool, one atomic output set per task.
+3 numerical failure or an unexpected internal error.
 
 There is no randomness anywhere in the pipeline; ``--seedless`` is accepted
 for interface stability and rejects an explicit value.
@@ -24,19 +29,15 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
 from .curvature import verify_critical
-from .errors import (
-    ConfigError,
-    InputError,
-    NumericalError,
-    VerificationError,
-    WarpcritError,
-)
+from .errors import ConfigError, InputError, VerificationError, WarpcritError
 from .matching import (
     FiberSpec,
     build_quotient_domain,
@@ -55,24 +56,17 @@ from .spectrum import first_dirichlet_eigenvalue, verify_eigenvalue_signs
 
 __all__ = ["main"]
 
-COMMANDS = (
-    "construct",
-    "verify",
-    "match",
-    "spectrum",
-    "schwarzschild",
-    "example1",
-    "example2",
-)
-
 # Tolerance names accepted by --tol NAME=VALUE and config "tolerances".
-TOLERANCE_NAMES = ("critical", "scal", "weyl", "einstein", "fiber", "root")
+TOLERANCE_NAMES = ("critical", "scal", "weyl", "einstein", "fiber")
 
-_NUM = (int, float)
+# Most rows an export grid may have: 6x the 160,001 of the largest benchmark
+# export, checked before the grid is allocated.
+_MAX_EXPORT_ROWS = 10**6
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, _NUM) and not isinstance(x, bool)
+def _is_finite(x) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +80,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -108,7 +102,7 @@ def _validate(config: dict, required: dict, optional: dict) -> None:
 
 
 def _want_num(key, val):
-    if not _is_num(val) or not math.isfinite(float(val)):
+    if not _is_finite(val):
         raise ConfigError(f"config key {key!r} must be a finite number")
 
 
@@ -122,6 +116,11 @@ def _want_str(key, val):
         raise ConfigError(f"config key {key!r} must be a nonempty string")
 
 
+def _want_tag(key, val):
+    if not isinstance(val, str) or not val or os.path.basename(val) != val or "\0" in val:
+        raise ConfigError(f"config key {key!r} must be a plain file basename")
+
+
 def _want_bool(key, val):
     if not isinstance(val, bool):
         raise ConfigError(f"config key {key!r} must be a boolean")
@@ -131,7 +130,7 @@ def _want_interval(key, val):
     if (
         not isinstance(val, list)
         or len(val) != 2
-        or not all(_is_num(v) and math.isfinite(float(v)) for v in val)
+        or not all(_is_finite(v) for v in val)
         or not float(val[0]) < float(val[1])
     ):
         raise ConfigError(f"config key {key!r} must be [lo, hi] with lo < hi")
@@ -145,8 +144,8 @@ def _want_tols(key, val):
             raise ConfigError(
                 f"unknown tolerance {name!r}; known: {', '.join(TOLERANCE_NAMES)}"
             )
-        if not _is_num(value) or not float(value) > 0.0:
-            raise ConfigError(f"tolerance {name!r} must be a positive number")
+        if not _is_finite(value) or not value > 0.0:
+            raise ConfigError(f"tolerance {name!r} must be a positive finite number")
 
 
 def _want_fiber(key, val):
@@ -185,17 +184,21 @@ def _effective_tols(config: dict, overrides: dict, defaults: dict) -> dict:
 
 
 _PARAM_KEYS = {"n": _want_int, "R": _want_num, "a": _want_num}
-_COMMON_OPT = {"tolerances": _want_tols, "tag": _want_str}
+_COMMON_OPT = {"tolerances": _want_tols, "tag": _want_tag}
 
 
 def _resample(profile: Profile, step: float) -> Profile:
-    """Uniform resampling of the export grid at the requested step."""
-    if step <= 0.0:
-        raise ConfigError("--grid-step must be positive")
+    """Uniform resampling of the export grid; the one check of the step."""
+    if not step > 0.0:
+        raise ConfigError(f"export grid step must be positive, got {step!r}")
     span = profile.s_max - profile.s_min
+    if not span / step < _MAX_EXPORT_ROWS:
+        raise ConfigError(
+            f"export grid step {step!r} gives more than {_MAX_EXPORT_ROWS} rows"
+        )
     count = int(math.floor(span / step + 1e-12))
     if count < 2:
-        raise ConfigError("--grid-step leaves fewer than 3 samples")
+        raise ConfigError("export grid step leaves fewer than 3 samples")
     grid = np.asarray(profile.s_min + step * np.arange(count + 1), dtype=np.longdouble)
     if profile.constant_solution:
         v = profile.sample(grid)
@@ -227,7 +230,7 @@ def _roots_record(profile: Profile) -> dict:
 # ----------------------------------------------------------------------
 
 
-def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict]:
+def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
     _validate(
         config,
         dict(_PARAM_KEYS, r0=_want_num),
@@ -239,18 +242,16 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict]:
         ),
     )
     params = _params_from(config)
-    tag = config.get("tag", "profile")
     prof = integrate_profile(params, float(config["r0"]), float(config.get("s_max", 6.0)))
     roots = None
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
         roots = _roots_record(prof)
-    step = ctx["grid_step"] or config.get("grid_step")
-    export = _resample(prof, float(step)) if step else prof
-    csv_name = f"{tag}.csv"
+    step = config.get("grid_step") if ctx["grid_step"] is None else ctx["grid_step"]
+    export = prof if step is None else _resample(prof, float(step))
+    csv_name = f"{ctx['tag']}.csv"
     write_profile_csv(os.path.join(ctx["out"], csv_name), export)
     payload = {
-        "command": "construct",
         "params": {"n": params.n, "R": params.R, "a": params.a},
         "r0": float(config["r0"]),
         "C": None if prof.constant_solution else float(prof.C),
@@ -259,7 +260,7 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict]:
         "constant_solution": prof.constant_solution,
         "grid": {
             "points": int(export.grid.size),
-            "step": float(step) if step else None,
+            "step": None if step is None else float(step),
         },
         "roots": roots,
         "tolerances": _effective_tols(config, ctx["tols"], {}),
@@ -268,10 +269,10 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict]:
             k: v for k, v in prof.diagnostics.items() if isinstance(v, (int, float))
         },
     }
-    write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
-    print(f"construct: wrote {csv_name} ({export.grid.size} points), "
-          f"kappa0={prof.kappa0:.12g}")
-    return 0, payload
+    return 0, payload, (
+        f"construct: wrote {csv_name} ({export.grid.size} points), "
+        f"kappa0={prof.kappa0:.12g}"
+    )
 
 
 _VERIFY_DEFAULTS = {"critical": 1e-8, "scal": 1e-8, "weyl": 1e-8,
@@ -304,7 +305,7 @@ def _run_verification(profile: Profile, fiber, interval, tols: dict) -> tuple[st
     return verdict, residuals
 
 
-def cmd_verify(config: dict, ctx: dict) -> tuple[int, dict]:
+def cmd_verify(config: dict, ctx: dict) -> tuple[int, dict, str]:
     _validate(
         config,
         dict(_PARAM_KEYS, profile_csv=_want_str),
@@ -316,7 +317,6 @@ def cmd_verify(config: dict, ctx: dict) -> tuple[int, dict]:
         ),
     )
     params = _params_from(config)
-    tag = config.get("tag", "verify")
     tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     profile = profile_from_arrays(params, read_profile_csv(config["profile_csv"]))
     fiber = FiberSpec(
@@ -326,23 +326,20 @@ def cmd_verify(config: dict, ctx: dict) -> tuple[int, dict]:
     interval = config.get("interval")
     verdict, residuals = _run_verification(profile, fiber, interval, tols)
     payload = {
-        "command": "verify",
         "params": {"n": params.n, "R": params.R, "a": params.a},
         "residuals": residuals,
         "verdict": verdict,
         "tolerances": tols,
     }
-    write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
-    print(
+    return (0 if verdict == "pass" else 1), payload, (
         f"verify: {verdict} "
         f"(critical={residuals['max_critical_residual']:.3e}, "
         f"scal={residuals['max_scal_deviation']:.3e}, "
         f"weyl={residuals['max_weyl_residual']:.3e})"
     )
-    return (0 if verdict == "pass" else 1), payload
 
 
-def _fiber_from(config: dict, params: OdeParams):
+def _fiber_from(config: dict):
     raw = config.get("fiber")
     if raw is None:
         return None
@@ -353,37 +350,29 @@ def _fiber_from(config: dict, params: OdeParams):
     )
 
 
-def cmd_match(config: dict, ctx: dict) -> tuple[int, dict]:
+def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
     _validate(
         config,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber, write_profile=_want_bool),
     )
-    params = _params_from(config)
-    tag = config.get("tag", "match")
     domain = build_two_boundary_domain(
-        params,
+        _params_from(config),
         float(config["r0"]),
         float(config["zeta1"]),
         s_max=float(config.get("s_max", 12.0)),
-        fiber=_fiber_from(config, params),
+        fiber=_fiber_from(config),
     )
-    payload = {
-        "command": "match",
-        "tolerances": _effective_tols(config, ctx["tols"], {}),
-        **domain.to_dict(),
-    }
+    payload = {"tolerances": _effective_tols(config, ctx["tols"], {}), **domain.to_dict()}
     if config.get("write_profile", False):
-        csv_name = f"{tag}.csv"
+        csv_name = f"{ctx['tag']}.csv"
         write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
         payload["outputs"] = {"csv": csv_name}
-    write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
     zeta2 = payload["interval"][0]
-    print(f"match: zeta1={config['zeta1']:.12g} -> zeta2={zeta2:.12g}")
-    return 0, payload
+    return 0, payload, f"match: zeta1={config['zeta1']:.12g} -> zeta2={zeta2:.12g}"
 
 
-def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict]:
+def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
     _validate(
         config,
         dict(_PARAM_KEYS, r0=_want_num),
@@ -398,8 +387,11 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict]:
         ),
     )
     params = _params_from(config)
-    tag = config.get("tag", "spectrum")
     num = config.get("num", 512)
+    payload = {
+        "params": {"n": params.n, "R": params.R, "a": params.a},
+        "tolerances": _effective_tols(config, ctx["tols"], {}),
+    }
     if config.get("signs", False):
         report = verify_eigenvalue_signs(
             params,
@@ -408,56 +400,39 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict]:
             s_max=float(config.get("s_max", 12.0)),
             num=num,
         )
-        payload = {
-            "command": "spectrum",
-            "params": {"n": params.n, "R": params.R, "a": params.a},
-            "tolerances": _effective_tols(config, ctx["tols"], {}),
-            "signs": report.as_dict(),
-        }
-        write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
-        print(
+        payload["signs"] = report.as_dict()
+        return (0 if report.consistent else 1), payload, (
             f"spectrum: phase={report.phase} matched={report.matched.sign} "
             f"consistent={report.consistent}"
         )
-        return (0 if report.consistent else 1), payload
     if "interval" not in config:
         raise ConfigError("spectrum needs \"interval\" unless \"signs\" is true")
     prof = integrate_profile(params, float(config["r0"]), float(config.get("s_max", 12.0)))
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
     result = first_dirichlet_eigenvalue(prof, tuple(config["interval"]), num=num)
-    payload = {
-        "command": "spectrum",
-        "params": {"n": params.n, "R": params.R, "a": params.a},
-        "tolerances": _effective_tols(config, ctx["tols"], {}),
-        "spectral": result.as_dict(),
-    }
+    payload["spectral"] = result.as_dict()
     if config.get("eigenvector_csv", False):
-        csv_name = f"{tag}_eigenvector.csv"
+        csv_name = f"{ctx['tag']}_eigenvector.csv"
         write_csv(
             os.path.join(ctx["out"], csv_name), "s,phi", (result.nodes, result.eigenvector)
         )
         payload["outputs"] = {"eigenvector_csv": csv_name}
-    write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
-    print(f"spectrum: gamma1={result.gamma1:.12g} sign={result.sign}")
-    return 0, payload
+    return 0, payload, f"spectrum: gamma1={result.gamma1:.12g} sign={result.sign}"
 
 
-def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict]:
+def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict, str]:
     _validate(
         config,
         dict(_PARAM_KEYS),
         dict(_COMMON_OPT, kappa0=_want_num, s_max=_want_num, zeta1=_want_num),
     )
-    params = _params_from(config)
-    tag = config.get("tag", "schwarzschild")
     chart = schwarzschild_form(
-        params,
+        _params_from(config),
         kappa0=float(config.get("kappa0", 1.0)),
         s_max=float(config.get("s_max", 12.0)),
     )
     payload = {
-        "command": "schwarzschild",
         "tolerances": _effective_tols(config, ctx["tols"], {}),
         **chart.to_dict(),
     }
@@ -469,87 +444,71 @@ def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict]:
             "C": m.C,
             "discrepancy": m.discrepancy,
         }
-    write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
-    print(
+    return 0, payload, (
         f"schwarzschild: horizon={chart.horizon:.12g} "
         f"(polynomial route {chart.horizon_from_polynomial:.12g})"
     )
-    return 0, payload
 
 
-def cmd_example1(config: dict, ctx: dict) -> tuple[int, dict]:
+def _certify(domain, tols: dict, ctx: dict) -> tuple[str, dict, dict]:
+    """Verify and export a built domain: its verdict, residuals and payload."""
+    verdict, residuals = _run_verification(
+        domain.profile, domain.fiber, domain.interval, tols
+    )
+    csv_name = f"{ctx['tag']}.csv"
+    write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
+    params = domain.profile.params
+    payload = {
+        "params": {"n": params.n, "R": params.R, "a": params.a},
+        "domain": domain.to_dict(),
+        "residuals": residuals,
+        "verdict": verdict,
+        "tolerances": tols,
+        "outputs": {"csv": csv_name},
+    }
+    return verdict, residuals, payload
+
+
+def cmd_example1(config: dict, ctx: dict) -> tuple[int, dict, str]:
     _validate(
         config,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
     )
-    params = _params_from(config)
-    tag = config.get("tag", "example1")
     tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     domain = build_two_boundary_domain(
-        params,
+        _params_from(config),
         float(config["r0"]),
         float(config["zeta1"]),
         s_max=float(config.get("s_max", 12.0)),
-        fiber=_fiber_from(config, params),
+        fiber=_fiber_from(config),
     )
-    verdict, residuals = _run_verification(
-        domain.profile, domain.fiber, domain.interval, tols
+    verdict, residuals, payload = _certify(domain, tols, ctx)
+    lo, hi = domain.interval
+    return (0 if verdict == "pass" else 1), payload, (
+        f"example1: {verdict} interval=[{lo:.6g}, {hi:.6g}] "
+        f"critical={residuals['max_critical_residual']:.3e}"
     )
-    csv_name = f"{tag}.csv"
-    write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
-    payload = {
-        "command": "example1",
-        "params": {"n": params.n, "R": params.R, "a": params.a},
-        "domain": domain.to_dict(),
-        "residuals": residuals,
-        "verdict": verdict,
-        "tolerances": tols,
-        "outputs": {"csv": csv_name},
-    }
-    write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
-    print(
-        f"example1: {verdict} interval=[{domain.interval[0]:.6g}, "
-        f"{domain.interval[1]:.6g}] critical={residuals['max_critical_residual']:.3e}"
-    )
-    return (0 if verdict == "pass" else 1), payload
 
 
-def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict]:
+def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict, str]:
     _validate(
         config,
         dict(_PARAM_KEYS, r0=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
     )
-    params = _params_from(config)
-    tag = config.get("tag", "example2")
     tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     domain = build_quotient_domain(
-        params,
+        _params_from(config),
         float(config["r0"]),
         s_max=float(config.get("s_max", 12.0)),
-        fiber=_fiber_from(config, params),
+        fiber=_fiber_from(config),
     )
-    verdict, residuals = _run_verification(
-        domain.profile, domain.fiber, domain.interval, tols
-    )
-    csv_name = f"{tag}.csv"
-    write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
-    payload = {
-        "command": "example2",
-        "params": {"n": params.n, "R": params.R, "a": params.a},
-        "domain": domain.to_dict(),
-        "residuals": residuals,
-        "verdict": verdict,
-        "tolerances": tols,
-        "outputs": {"csv": csv_name},
-    }
-    write_envelope(os.path.join(ctx["out"], f"{tag}.json"), payload)
-    print(
+    verdict, residuals, payload = _certify(domain, tols, ctx)
+    return (0 if verdict == "pass" else 1), payload, (
         f"example2: {verdict} theta={domain.interval[1]:.6g} "
         f"critical={residuals['max_critical_residual']:.3e}"
     )
-    return (0 if verdict == "pass" else 1), payload
 
 
 _DISPATCH = {
@@ -564,7 +523,7 @@ _DISPATCH = {
 
 
 # ----------------------------------------------------------------------
-# Sweeps and entry point
+# The task runner, sweeps and entry point
 # ----------------------------------------------------------------------
 
 
@@ -573,24 +532,30 @@ def _exit_for(exc: WarpcritError) -> int:
         return 1
     if isinstance(exc, InputError):
         return 2
-    if isinstance(exc, NumericalError):
-        return 3
     return 3
 
 
-def _run_one(command: str, config: dict, ctx: dict) -> tuple[int, dict]:
-    return _DISPATCH[command](config, ctx)
+def _run_task(command: str, config: dict, ctx: dict) -> dict:
+    """Run one command and return its sweep record, ``{"tag", "exit"[, "error"]}``.
 
-
-def _run_task(packed) -> dict:
-    """Worker-pool task: one command run, exceptions mapped to exit codes."""
-    command, config, ctx = packed
-    tag = config.get("tag", "?")
+    Module-level, so that the sweep's process pool can pickle it.  Any
+    exception other than a toolkit error is an internal error: exit 3, and
+    one line naming its class and innermost frame instead of a traceback.
+    """
+    tag = config.get("tag", "profile" if command == "construct" else command)
     try:
-        code, _ = _run_one(command, config, ctx)
+        code, payload, line = _DISPATCH[command](config, dict(ctx, tag=tag))
+        write_envelope(os.path.join(ctx["out"], f"{tag}.json"), {"command": command, **payload})
+        print(line)
         return {"tag": tag, "exit": code}
     except WarpcritError as exc:
-        return {"tag": tag, "exit": _exit_for(exc), "error": str(exc)}
+        code, message = _exit_for(exc), str(exc)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{type(exc).__name__} at {os.path.basename(frame.filename)}:{frame.lineno}"
+        code, message = 3, f"internal error ({where}): {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return {"tag": tag, "exit": code, "error": message}
 
 
 def _run_sweep(command: str, config: dict, ctx: dict) -> int:
@@ -608,14 +573,14 @@ def _run_sweep(command: str, config: dict, ctx: dict) -> int:
         task = dict(base)
         task.update(rec)
         task.setdefault("tag", f"{command}_{i:03d}")
-        tasks.append((command, task, ctx))
+        tasks.append(task)
     if not workers:
         workers = min(len(tasks), os.cpu_count() or 1, 8)
     if workers == 1 or len(tasks) == 1:
-        results = [_run_task(t) for t in tasks]
+        results = [_run_task(command, task, ctx) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
+            results = list(pool.map(_run_task, repeat(command), tasks, repeat(ctx)))
     worst = max(r["exit"] for r in results)
     summary = {
         "command": command,
@@ -652,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct and verify warped-product critical metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         sub.add_parser(name, parents=[common])
     return parser
 
@@ -667,19 +632,17 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         config = _load_config(args.config)
-        overrides = _parse_tol_flags(args.tol)
-        if args.grid_step is not None and not args.grid_step > 0.0:
-            raise ConfigError("--grid-step must be positive")
-        out = args.out
-        os.makedirs(out, exist_ok=True)
-        ctx = {"out": out, "tols": overrides, "grid_step": args.grid_step}
+        ctx = {"out": args.out, "tols": _parse_tol_flags(args.tol), "grid_step": args.grid_step}
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {args.out}: {exc}") from exc
         if "sweep" in config:
             return _run_sweep(args.command, config, ctx)
-        code, _ = _run_one(args.command, config, ctx)
-        return code
     except WarpcritError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_for(exc)
+    return _run_task(args.command, config, ctx)["exit"]
 
 
 if __name__ == "__main__":

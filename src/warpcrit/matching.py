@@ -89,6 +89,14 @@ _TAIL_RADIUS = 2000.0
 # Absolute tolerance on matched root positions.
 _ZETA_TOL = 1e-12
 
+# Tolerance of the boundary checks of build_two_boundary_domain and
+# build_quotient_domain: relative on the potential at the matched roots,
+# absolute on the evenness gap, and the floor of the positivity sampling pad.
+_LAMBDA_ROOT_TOL = 1e-10
+
+# Relative band of classify_roots around the threshold C0.
+_CLASSIFY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FiberSpec:
@@ -467,7 +475,7 @@ def exclusion_zeta(profile: Profile) -> float:
     return table.solve(-(profile.params.n - 1) * c0)
 
 
-def classify_roots(profile: Profile, *, tol: float = 1e-10) -> RootClassification:
+def classify_roots(profile: Profile) -> RootClassification:
     """Report the root structure of the potential by curvature regime.
 
     R = 0: two roots for every C.  R < 0: case "a" (C <= -C0, single
@@ -491,7 +499,7 @@ def classify_roots(profile: Profile, *, tol: float = 1e-10) -> RootClassificatio
 
     if R < 0.0:
         c0 = c_threshold(profile)
-        band = tol * max(1.0, c0)
+        band = _CLASSIFY_TOL * max(1.0, c0)
         if C <= -c0 + band and abs(C + c0) > band:
             case = "a"
         elif C >= c0 - band and abs(C - c0) > band:
@@ -653,8 +661,8 @@ def _boundary_face(profile: Profile, s: float, side: str) -> BoundaryFace:
     )
 
 
-def _interior_positivity(profile: Profile, lo: float, hi: float, root_tol: float) -> None:
-    pad = max(10 * root_tol, 1e-6 * (hi - lo))
+def _interior_positivity(profile: Profile, lo: float, hi: float) -> None:
+    pad = max(10 * _LAMBDA_ROOT_TOL, 1e-6 * (hi - lo))
     xs = np.linspace(lo + pad, hi - pad, 2001)
     lam = np.asarray(profile.sample(xs).lam, dtype=float)
     if np.min(lam) <= 0.0:
@@ -672,7 +680,6 @@ def build_two_boundary_domain(
     *,
     s_max: float = 12.0,
     fiber: FiberSpec | None = None,
-    root_tol: float = 1e-10,
 ) -> MatchedDomain:
     """Construct the compact domain with two boundary spheres.
 
@@ -690,8 +697,8 @@ def build_two_boundary_domain(
     profile = integrate_profile(params, r0, s_max)
     match = match_boundary(profile, zeta1)
     complete = solve_potential(profile, match.C)
-    _check_lambda_roots(complete, match.zeta2, zeta1, root_tol)
-    _interior_positivity(complete, match.zeta2, zeta1, root_tol)
+    _check_lambda_roots(complete, match.zeta2, zeta1)
+    _interior_positivity(complete, match.zeta2, zeta1)
     if fiber is None:
         fiber = _default_fiber(complete)
     _check_fiber(complete, fiber)
@@ -709,11 +716,11 @@ def build_two_boundary_domain(
     )
 
 
-def _check_lambda_roots(profile: Profile, zeta2: float, zeta1: float, root_tol: float) -> None:
+def _check_lambda_roots(profile: Profile, zeta2: float, zeta1: float) -> None:
     lam1 = float(profile.sample(zeta1).lam[0])
     lam2 = float(profile.sample(zeta2).lam[0])
     scale = max(1.0, float(np.max(np.abs(np.asarray(profile.lam, dtype=float)))))
-    if abs(lam1) > root_tol * scale or abs(lam2) > root_tol * scale:
+    if abs(lam1) > _LAMBDA_ROOT_TOL * scale or abs(lam2) > _LAMBDA_ROOT_TOL * scale:
         raise VerificationError(
             f"potential does not vanish at the matched boundary: "
             f"lam(zeta1) = {lam1:.3e}, lam(zeta2) = {lam2:.3e}"
@@ -726,7 +733,6 @@ def build_quotient_domain(
     *,
     s_max: float = 12.0,
     fiber: FiberSpec | None = None,
-    root_tol: float = 1e-10,
 ) -> MatchedDomain:
     """Construct the connected-boundary quotient domain.
 
@@ -751,8 +757,8 @@ def build_quotient_domain(
         )
     complete = solve_potential(profile, 0.0)
     theta = complete.theta
-    _check_lambda_roots(complete, -theta, theta, root_tol)
-    _interior_positivity(complete, -theta, theta, root_tol)
+    _check_lambda_roots(complete, -theta, theta)
+    _interior_positivity(complete, -theta, theta)
     _check_fiber(complete, fiber)
     # Evenness of the potential on the symmetric interval: exact for C = 0.
     xs = np.linspace(0.0, theta, 257)
@@ -762,7 +768,7 @@ def build_quotient_domain(
             - np.asarray(complete.sample(-xs).lam, dtype=float)
         )
     )
-    if gap > root_tol:
+    if gap > _LAMBDA_ROOT_TOL:
         raise VerificationError(
             f"potential fails to be even on the symmetric interval (gap {gap:.3e}); "
             "it cannot descend to the quotient"

@@ -32,6 +32,7 @@ Profiles are anchored at a critical point of r: ``r(0) = r0 > 0``,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -79,6 +80,9 @@ _TOLS = {"rtol": 1e-15, "atol": 1e-18, "max_step": 0.1}
 
 # Absolute tolerance of the roots find_roots reports.
 _ROOT_TOL = 1e-12
+
+# Relative tolerance of the anchor radius solve_radius_for_kappa0 returns.
+_KAPPA0_TOL = 1e-14
 
 # Grid points of a closed-form space form; its roots are bracketed on them.
 _SPACE_FORM_POINTS = 2001
@@ -146,6 +150,8 @@ class OdeParams:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 3:
             raise RangeError(f"dimension n must be an integer >= 3, got {self.n!r}")
+        if self.n * (self.n - 1) > sys.float_info.max:
+            raise RangeError("dimension n is too large: n (n - 1) overflows float64")
         object.__setattr__(self, "n", int(self.n))
         for name in ("R", "a"):
             v = float(getattr(self, name))
@@ -620,9 +626,7 @@ def critical_radius(params: OdeParams) -> float:
     return float((n * (n - 1) * params.a / params.R) ** (1.0 / n))
 
 
-def solve_radius_for_kappa0(
-    params: OdeParams, kappa0: float, branch: str = "min", *, tol: float = 1e-14
-) -> float:
+def solve_radius_for_kappa0(params: OdeParams, kappa0: float, branch: str = "min") -> float:
     """Anchor radius r0 realizing a prescribed fiber constant kappa0.
 
     Inverts F(r0) = c2 r0^2 + (2a/(n-2)) r0^(2-n) = kappa0 (the conserved
@@ -649,7 +653,7 @@ def solve_radius_for_kappa0(
     if params.R > 0.0:
         r_star = critical_radius(params)
         k_min = F(r_star)
-        if kappa0 < k_min - tol * max(1.0, abs(k_min)):
+        if kappa0 < k_min - _KAPPA0_TOL * max(1.0, abs(k_min)):
             raise OutOfRange(
                 f"no anchor radius attains kappa0={kappa0:.6g}; the minimum over "
                 f"radii is {k_min:.6g} at the constant solution"
@@ -662,13 +666,13 @@ def solve_radius_for_kappa0(
                 lo *= 0.5
                 if lo < 1e-300:
                     raise OutOfRange("anchor radius underflow while bracketing")
-            return bisect_root(lambda r: F(r) - kappa0, lo, r_star, tol=tol * r_star)
+            return bisect_root(lambda r: F(r) - kappa0, lo, r_star, tol=_KAPPA0_TOL * r_star)
         hi = r_star
         while F(hi) < kappa0:
             hi *= 2.0
             if hi > 1e300:
                 raise OutOfRange("anchor radius overflow while bracketing")
-        return bisect_root(lambda r: F(r) - kappa0, r_star, hi, tol=tol * hi)
+        return bisect_root(lambda r: F(r) - kappa0, r_star, hi, tol=_KAPPA0_TOL * hi)
 
     if params.R == 0.0:
         # F(r) = (2a/(n-2)) r^(2-n): positive, strictly decreasing.
@@ -689,7 +693,7 @@ def solve_radius_for_kappa0(
         hi *= 2.0
         if hi > 1e300:
             raise OutOfRange("anchor radius overflow while bracketing")
-    return bisect_root(lambda r: F(r) - kappa0, lo, hi, tol=tol * hi)
+    return bisect_root(lambda r: F(r) - kappa0, lo, hi, tol=_KAPPA0_TOL * hi)
 
 
 def _node_roots(xs, f_vals, f, tol: float, lo=-math.inf, hi=math.inf) -> list[float]:

@@ -72,6 +72,9 @@ _LD = np.longdouble
 # carry O(eps * ||T||) noise that Richardson cannot see.
 _EIG_FLOOR = 1e-10
 
+# Most segments of one eigenproblem.
+_MAX_SEGMENTS = 10**6
+
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -173,8 +176,8 @@ def eigenvalue_at_resolution(profile: Profile, interval, num: int):
     """
     lo, hi = float(interval[0]), float(interval[1])
     _window_check(profile, lo, hi)
-    if num < 8:
-        raise RangeError("eigenvalue grid needs at least 8 segments")
+    if not 8 <= num <= _MAX_SEGMENTS:
+        raise RangeError(f"eigenvalue grid needs 8 to {_MAX_SEGMENTS} segments, got {num}")
     h = (hi - lo) / num
     nodes = lo + h * np.arange(1, num)
     u = np.asarray(_schroedinger_potential(profile, nodes), dtype=float)
@@ -224,6 +227,15 @@ def _coherent_verdict(
     return verdict
 
 
+def _check_halving(num: int) -> None:
+    """Refuse a step-halving estimate before it solves at num and 2 num."""
+    if not 2 * num <= _MAX_SEGMENTS:
+        raise RangeError(
+            f"num must be at most {_MAX_SEGMENTS // 2}, got {num}; the "
+            "step-halving estimate also solves at 2 num segments"
+        )
+
+
 def first_dirichlet_eigenvalue(
     profile: Profile, interval, *, num: int = 512
 ) -> SpectralResult:
@@ -233,6 +245,7 @@ def first_dirichlet_eigenvalue(
     second-order discretization, and turns the step-halving gap into the
     error bound used for the POSITIVE/ZERO/NEGATIVE verdict.
     """
+    _check_halving(num)
     params = profile.params
     n = params.n
     beta_h, _, _, _ = eigenvalue_at_resolution(profile, interval, num)
@@ -288,6 +301,7 @@ def identity_residual(profile: Profile, interval, *, num: int = 512) -> float:
     |ratio - 1| with the ratio Richardson-extrapolated over step halving
     (the eigenvector and the trapezoid rule are each second order).
     """
+    _check_halving(num)
     q_h = _identity_ratio(profile, interval, num)
     q_h2 = _identity_ratio(profile, interval, 2 * num)
     return abs((4.0 * q_h2 - q_h) / 3.0 - 1.0)

@@ -23,6 +23,7 @@ from warpcrit import (
     verify_critical,
     write_profile_csv,
 )
+from warpcrit import cli
 from warpcrit.cli import _resample, main
 from warpcrit.profiles import find_roots
 from warpcrit.serialize import _fmt, dump_json, write_csv
@@ -269,17 +270,70 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         # The window ends before the first positive critical point of r.
         ("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "C": 0.1, "signs": True,
                       "r0": 0.8, "s_max": 0.5}, (2,)),
+        # 1.2e301 export rows: refused before the grid is allocated.
+        ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "grid_step": 1e-300}, (2,)),
+        # A zero step is an error from the config key, as from the flag.
+        ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
+                       "grid_step": 0}, (2,)),
+        # 2**62 eigenvalue segments: refused before the grid is allocated.
+        ("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "interval": [0.1, 0.5],
+                      "num": 4611686018427387904}, (2,)),
+        # 2 num is over the segment bound: refused before the solve at num.
+        ("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 2.0,
+                      "interval": [0.1, 0.5], "num": 500_001}, (2,)),
+        # The ODE coefficients n (n - 1) overflow float64.
+        ("construct", {"n": 10**400, "R": -6.0, "a": 1.0, "r0": 1.0}, (2,)),
+        # An integer that no float can hold is not a finite number.
+        ("construct", {"n": 3, "R": 10**400, "a": 1.0, "r0": 1.0}, (2,)),
+        # The tag is an output basename, so it may not leave --out.
+        ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
+                       "tag": "../../x/y"}, (2,)),
+        ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
+                       "tag": "../name"}, (2,)),
+        # Tolerances must be finite, or the envelope cannot be written.
+        ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
+                       "tolerances": {"critical": math.inf}}, (2,)),
+        # The matching tolerance is a fixed constant, not a tolerance name.
+        ("example1", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1.5, "s_max": 3.0,
+                      "tolerances": {"root": 1e-30}}, (2,)),
     ],
-    ids=["huge_window", "tiny_r0", "signs_no_critical_point"],
+    ids=["huge_window", "tiny_r0", "signs_no_critical_point", "grid_step_tiny",
+         "grid_step_zero", "num_huge", "num_over_half", "n_huge", "int_too_large",
+         "tag_path", "tag_parent", "tolerance_infinite", "tolerance_root"],
 )
 def test_out_of_range_construct_fails_cleanly(tmp_path, command, config, codes):
+    out = tmp_path / "out"
     cfg = _write_config(tmp_path / "c.json", config)
     proc = subprocess.run(
         [sys.executable, "-m", "warpcrit.cli",
-         command, "--config", cfg, "--out", str(tmp_path)],
+         command, "--config", cfg, "--out", str(out)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    # Nothing is written: not beside --out, and not a CSV before the error.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    # The last --out wins; "{cfg}" names the config file itself.
+    [["--grid-step", "1e-300"], ["--grid-step", "0"], ["--out", "{cfg}"]],
+    ids=["grid_step_tiny", "grid_step_zero", "out_is_file"],
+)
+def test_bad_flag_fails_cleanly(tmp_path, flags):
+    cfg = _write_config(
+        tmp_path / "c.json", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpcrit.cli", "construct", "--config", cfg,
+         "--out", str(tmp_path / "out"), *(f.format(cfg=cfg) for f in flags)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -496,6 +550,110 @@ def test_example2_command(tmp_path):
     assert env["verdict"] == "pass"
     assert env["domain"]["boundary_components"] == 1
     assert env["domain"]["quotient"]["free"] is True
+
+
+# ----------------------------------------------------------------------
+# the task runner
+# ----------------------------------------------------------------------
+
+
+_SMALL_CONFIGS = {
+    "construct": {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 2.0, "C": 0.25},
+    "verify": {"n": 3, "R": -6.0, "a": 1.0},
+    "match": {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1.5, "s_max": 3.0},
+    "spectrum": {"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0,
+                 "interval": [0.0, 1.0], "num": 64},
+    "schwarzschild": {"n": 3, "R": 0.0, "a": 0.5, "s_max": 3.0},
+    "example1": {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1.5, "s_max": 3.0},
+    "example2": {"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0},
+}
+
+
+def _small_config(tmp_path, command):
+    config = dict(_SMALL_CONFIGS[command], tag=f"run_{command}")
+    if command == "verify":
+        prof = solve_potential(integrate_profile(OdeParams(n=3, R=-6.0, a=1.0), 1.0, 2.0), 0.25)
+        write_profile_csv(str(tmp_path / "p.csv"), prof)
+        config["profile_csv"] = str(tmp_path / "p.csv")
+    return _write_config(tmp_path / "c.json", config)
+
+
+@pytest.mark.parametrize(
+    "command, tolerances, code",
+    [(command, {}, 0) for command in _SMALL_CONFIGS]
+    + [("verify", {"critical": 1e-30}, 1)],
+    ids=[*_SMALL_CONFIGS, "verify_fails"],
+)
+def test_runner_contract(tmp_path, capsys, command, tolerances, code):
+    cfg = _small_config(tmp_path, command)
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    for name, value in tolerances.items():
+        argv += ["--tol", f"{name}={value}"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command}: "), out
+    assert err == ""
+    env = _read_json(tmp_path / f"run_{command}.json")
+    assert env["command"] == command
+    assert code == (0 if env.get("verdict", "pass") == "pass" else 1)
+
+
+@pytest.mark.parametrize("command", ["match", "example1", "example2"])
+def test_root_is_not_a_tolerance_name(tmp_path, capsys, command):
+    cfg = _small_config(tmp_path, command)
+    argv = [command, "--config", cfg, "--out", str(tmp_path), "--tol", "root=1e-30"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: unknown tolerance 'root'; known: critical, scal, weyl, einstein, fiber"
+    ]
+
+
+_CONSTRUCT = cli._DISPATCH["construct"]
+
+
+def _broken_construct(config, ctx):
+    """``construct``, except that the task tagged construct_001 hits a bug."""
+    if config.get("tag") == "construct_001":
+        return 1 / 0
+    return _CONSTRUCT(config, ctx)
+
+
+def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._DISPATCH, "construct", _broken_construct)
+    cfg = _write_config(
+        tmp_path / "c.json",
+        {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "s_max": 1.0, "tag": "construct_001"},
+    )
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: internal error (ZeroDivisionError at test_cli.py:")
+    assert "division by zero" in lines[0]
+
+
+def test_internal_error_in_sweep_keeps_the_summary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._DISPATCH, "construct", _broken_construct)
+    cfg = _write_config(
+        tmp_path / "sweep.json",
+        {
+            "n": 3, "a": 1.0, "s_max": 1.0, "workers": 1,
+            "sweep": [{"R": 0.0, "r0": 1.0}, {"R": -6.0, "r0": 1.0}],
+        },
+    )
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 3
+    summary = _read_json(tmp_path / "construct_sweep.json")
+    assert summary["tasks"] == 2 and summary["failures"] == 1
+    assert summary["sweep"][0] == {"tag": "construct_000", "exit": 0}
+    assert summary["sweep"][1]["exit"] == 3
+    assert "ZeroDivisionError" in summary["sweep"][1]["error"]
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "sweep: 2 tasks, 1 failures"
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

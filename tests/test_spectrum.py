@@ -28,6 +28,7 @@ from warpcrit import (
     integrate_profile,
     solve_potential,
     space_form_profile,
+    spectrum,
 )
 from warpcrit.profiles import find_roots
 from warpcrit.spectrum import (
@@ -226,6 +227,19 @@ def test_interval_validation(osc_min):
         first_dirichlet_eigenvalue(osc_min, (-1.0, 30.0))
     with pytest.raises(RangeError):
         eigenvalue_at_resolution(osc_min, (-1.0, 1.0), 4)
+
+
+def test_num_bound_is_checked_before_any_solve(osc_min, monkeypatch):
+    # 2 num = 1,000,002 segments is over the bound; the solve at num alone
+    # (500,001) would be allowed, so it must never start.
+    def no_solve(*args):
+        raise AssertionError("solved before checking num")
+
+    monkeypatch.setattr(spectrum, "eigenvalue_at_resolution", no_solve)
+    with pytest.raises(RangeError, match="at most 500000"):
+        first_dirichlet_eigenvalue(osc_min, (0.1, 0.5), num=500_001)
+    with pytest.raises(RangeError, match="at most 500000"):
+        identity_residual(osc_min, (0.1, 0.5), num=500_001)
 
 
 def test_verify_requires_oscillatory_regime():
