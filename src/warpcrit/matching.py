@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,6 +53,7 @@ from .profiles import (
     solve_radius_for_kappa0,
     warp_accel,
 )
+from .rk45 import hermite_quintic
 from .support import bisect_root, gauss_legendre
 
 __all__ = [
@@ -75,9 +77,11 @@ __all__ = [
 
 _LD = np.longdouble
 
-# Quadrature: Gauss-Legendre order per panel, dense-step subdivision factor.
+# Quadrature: Gauss-Legendre order per panel, dense-step subdivision factor,
+# and the full steps evaluated per basis product (bounds its transients).
 _GL_ORDER = 20
 _SUBDIV = 4
+_STEP_BLOCK = 2048
 
 # Endpoints closer than this to a critical point of r are singular for the
 # r/(r')^2 integrand.
@@ -202,23 +206,35 @@ class RootClassification:
 
 
 # ----------------------------------------------------------------------
-# Quadrature of r/(r')^2 on the dense output
+# Quadrature of r/(r')^2 on the base steps
 # ----------------------------------------------------------------------
+#
+# Each node interval is split into _SUBDIV equal sub-panels with a
+# _GL_ORDER-point Gauss-Legendre rule on each.  An interval that is a full
+# step of the base integration is therefore sampled at the same
+# _SUBDIV * _GL_ORDER fractions of the step every time, so the quintic
+# Hermite basis is evaluated once at those fractions (_step_basis) and r, r'
+# on a block of full steps are one product of that basis with the steps'
+# node data.  Every other interval (a step split at theta, a range end inside
+# a step, the mirrored half s < 0) is sampled through the dense output.
 
 
-def _panel_quad(sample: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integrals of r/(r')^2 over consecutive node panels.
+def _gauss_panels(sample: Callable, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of r/(r')^2 over [start, start + len] panels.
 
     ``sample`` maps arclengths to the rows (r, r', ...), as
     ``Profile.sample_base`` does.
     """
     gx, gw = gauss_legendre(_GL_ORDER)
-    starts = nodes[:-1]
-    lens = np.diff(nodes)
     pts = starts[:, None] + lens[:, None] * gx[None, :]
     v = sample(pts.ravel())
     f = (v[0] / v[1] ** 2).reshape(pts.shape)
     return lens * (f @ gw)
+
+
+def _panel_quad(sample: Callable, nodes: np.ndarray) -> np.ndarray:
+    """``_gauss_panels`` over the consecutive panels of ``nodes``."""
+    return _gauss_panels(sample, nodes[:-1], np.diff(nodes))
 
 
 def _subdivided(nodes: np.ndarray, subdiv: int = _SUBDIV) -> np.ndarray:
@@ -230,14 +246,68 @@ def _subdivided(nodes: np.ndarray, subdiv: int = _SUBDIV) -> np.ndarray:
     return np.append(fine, nodes[-1])
 
 
+@lru_cache(maxsize=1)
+def _step_basis() -> np.ndarray:
+    """Quintic Hermite basis at the quadrature fractions of a full step.
+
+    Row ``j * _GL_ORDER + k`` holds the six weights of (y0, h y0', h^2 y0'',
+    y1, h y1', h^2 y1'') at the k-th Gauss node of sub-panel j.
+    """
+    gx, _ = gauss_legendre(_GL_ORDER)
+    tau = ((np.arange(_SUBDIV, dtype=_LD)[:, None] + gx[None, :]) / _SUBDIV).ravel()
+    basis = hermite_quintic(tau[:, None], *np.eye(6, dtype=_LD))
+    basis.flags.writeable = False
+    return basis
+
+
+def _base_panels(profile: Profile, nodes: np.ndarray) -> np.ndarray:
+    """Integrals of r/(r')^2 over the sub-panels of ascending ``nodes``.
+
+    Returns the same ``_SUBDIV`` sub-panel integrals per node interval as
+    ``_panel_quad(profile.sample_base, _subdivided(nodes))``.  Intervals that
+    are full base steps go through ``_step_basis`` in blocks of
+    ``_STEP_BLOCK`` steps; the others through ``Profile.sample_base``, as
+    does every interval of a closed-form profile.
+    """
+    base = profile._base
+    fine = _subdivided(nodes)
+    if base is None:
+        return _panel_quad(profile.sample_base, fine)
+    ts = base.ts
+    lens = np.diff(fine).reshape(-1, _SUBDIV)
+    out = np.empty(lens.shape, dtype=_LD)
+    lo, hi = nodes[:-1], nodes[1:]
+    i = np.clip(np.searchsorted(ts, lo), 0, ts.size - 2)
+    full = (ts[i] == lo) & (ts[i + 1] == hi)
+    out[~full] = _gauss_panels(
+        profile.sample_base, fine[:-1].reshape(lens.shape)[~full].ravel(), lens[~full].ravel()
+    ).reshape(-1, _SUBDIV)
+    basis = _step_basis()
+    _, gw = gauss_legendre(_GL_ORDER)
+    ks = np.flatnonzero(full)
+    for b in range(0, ks.size, _STEP_BLOCK):
+        k = ks[b:b + _STEP_BLOCK]
+        i0 = i[k]
+        i1 = i0 + 1
+        h = (ts[i1] - ts[i0])[:, None]
+        # (steps, 6, 2): the Hermite data of r and r' at both step ends.
+        data = np.stack([
+            base.ys[i0, :2], h * base.dys[i0, :2], h * h * base.d2ys[i0, :2],
+            base.ys[i1, :2], h * base.dys[i1, :2], h * h * base.d2ys[i1, :2],
+        ], axis=1)
+        v = basis @ data
+        f = (v[..., 0] / v[..., 1] ** 2).reshape(-1, _GL_ORDER)
+        out[k] = lens[k] * (f @ gw).reshape(-1, _SUBDIV)
+    return out.ravel()
+
+
 def _quad_between(profile: Profile, lo: float, hi: float) -> float:
-    """Integral of r/(r')^2 over [lo, hi] using dense-step panels."""
+    """Integral of r/(r')^2 over [lo, hi] on the base step panels."""
     if hi <= lo:
         return 0.0
     inner = profile.grid[(profile.grid > lo) & (profile.grid < hi)]
     nodes = np.concatenate([[_LD(lo)], np.asarray(inner, dtype=_LD), [_LD(hi)]])
-    nodes = _subdivided(nodes)
-    return float(np.sum(_panel_quad(profile.sample_base, nodes)))
+    return float(np.sum(_base_panels(profile, nodes)))
 
 
 def _check_no_critical_points(profile: Profile, lo: float, hi: float) -> None:
@@ -375,8 +445,7 @@ class _CumulativeTable:
         lo = float(self.xs[k])
         part = 0.0
         if x > lo:
-            nodes = np.array([lo, x], dtype=_LD)
-            part = float(np.sum(_panel_quad(self.profile.sample_base, _subdivided(nodes))))
+            part = float(np.sum(_base_panels(self.profile, np.array([lo, x], dtype=_LD))))
         return float(self.prefix[k]) + part - self.theta_offset
 
     def solve(self, target: float) -> float:
@@ -412,30 +481,39 @@ class _CumulativeTable:
                            f_lo=g_lo - target, f_hi=g_hi - target)
 
 
+def _table_nodes(profile: Profile) -> tuple[np.ndarray, float]:
+    """Node intervals of the matching table, and the table's limit.
+
+    The nodes are the base steps inside (0, limit) plus theta, so every
+    interval is a full step except the two on either side of theta.
+    """
+    theta = profile.theta
+    s1 = find_roots(profile).s1
+    limit = min(profile.s_max, s1) if s1 is not None else profile.s_max
+    ts = profile._base.ts
+    nodes = ts[(ts > 0) & (ts < limit - _ROOT_PAD)]
+    return np.unique(np.concatenate([nodes, [_LD(theta)]])), float(limit)
+
+
 def _get_table(profile: Profile) -> _CumulativeTable:
+    """The profile's cached matching table, built on first use."""
     if profile._gtable is not None:
         return profile._gtable  # type: ignore[return-value]
     if profile.constant_solution or profile.degenerate_origin:
         raise InvalidRegime(
             "boundary matching requires a nonconstant even profile"
         )
-    theta = profile.theta
-    s1 = find_roots(profile).s1
-    limit = min(profile.s_max, s1) if s1 is not None else profile.s_max
-    ts = np.asarray(profile._base.ts, dtype=_LD)
-    keep = (ts > 0) & (ts < limit - _ROOT_PAD)
-    nodes = ts[keep]
-    nodes = np.unique(np.concatenate([nodes, [_LD(theta)]]))
-    nodes = _subdivided(nodes)
-    panels = _panel_quad(profile.sample_base, nodes)
+    nodes, limit = _table_nodes(profile)
+    panels = _base_panels(profile, nodes)
+    xs = _subdivided(nodes)
     prefix = np.concatenate([[0.0], np.cumsum(panels, dtype=_LD)]).astype(float)
-    i_theta = int(np.argmin(np.abs(nodes - _LD(theta))))
+    i_theta = int(np.argmin(np.abs(xs - _LD(profile.theta))))
     table = _CumulativeTable(
         profile=profile,
-        xs=np.asarray(nodes, dtype=float),
+        xs=np.asarray(xs, dtype=float),
         prefix=prefix,
         theta_offset=float(prefix[i_theta]),
-        limit=float(limit),
+        limit=limit,
     )
     profile._gtable = table
     return table

@@ -78,6 +78,9 @@ _RADIUS_FLOOR = 1e-6
 # Integrator settings of every profile, shared by its outward extensions.
 _TOLS = {"rtol": 1e-15, "atol": 1e-18, "max_step": 0.1}
 
+# Smallest step rk45.integrate takes at t = 0.
+_STEP_FLOOR = float(np.finfo(_LD).eps * 16)
+
 # Absolute tolerance of the roots find_roots reports.
 _ROOT_TOL = 1e-12
 
@@ -414,7 +417,9 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
     Raises
     ------
     RangeError
-        If r0 or s_max is not positive, or r0^(1-n) overflows longdouble.
+        If r0 or s_max is not positive, r0^(1-n) overflows longdouble, or
+        the anchor's time scale sqrt(r0/|r''(0)|) is below the smallest
+        integrator step.
     NonPositiveRadius
         If the warp factor collapses toward zero inside the window.
     StepFailure
@@ -454,6 +459,15 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
             diagnostics={"conservation_residual": 0.0},
         )
 
+    # r'' at the anchor sets the time scale of the first steps; below the
+    # integrator's smallest step no step can resolve it.
+    t_scale = np.sqrt(_LD(r0) / abs(racc0))
+    if t_scale < _STEP_FLOOR:
+        raise RangeError(
+            f"anchor radius r0 = {r0!r} is out of range: its time scale "
+            f"sqrt(r0/|r''(0)|) = {float(t_scale):.3g} is below the "
+            f"integrator's smallest step {_STEP_FLOOR:.3g}"
+        )
     lam00 = _LD(r0) / (_LD(params.n - 1) * racc0)
     y0 = np.array([r0, 0.0, lam00, 0.0], dtype=_LD)
     fun, d2fun = _rhs_functions(params)

@@ -36,6 +36,7 @@ them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,10 @@ _EIG_FLOOR = 1e-10
 
 # Most segments of one eigenproblem.
 _MAX_SEGMENTS = 10**6
+
+# Shortest segment: the tridiagonal solver multiplies entries of size 1/h^2,
+# so their product must stay finite with a rounding margin to spare.
+_MIN_STEP = (sys.float_info.max * sys.float_info.epsilon) ** -0.25
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,12 @@ def eigenvalue_at_resolution(profile: Profile, interval, num: int):
     if not 8 <= num <= _MAX_SEGMENTS:
         raise RangeError(f"eigenvalue grid needs 8 to {_MAX_SEGMENTS} segments, got {num}")
     h = (hi - lo) / num
+    if not h >= _MIN_STEP:
+        raise RangeError(
+            f"interval [{lo:.6g}, {hi:.6g}] is too short for {num} segments: "
+            f"the step {h:.3g} is below {_MIN_STEP:.3g}, where products of "
+            "the 1/h^2 matrix entries overflow"
+        )
     nodes = lo + h * np.arange(1, num)
     u = np.asarray(_schroedinger_potential(profile, nodes), dtype=float)
     diag = 2.0 / h**2 + u

@@ -261,47 +261,55 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, config, codes",
+    "command, config, codes, needle",
     [
         # 1e7 steps of max_step: beyond the integrator's step budget.
-        ("construct", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "s_max": 1e6}, (3,)),
-        # r0^(1-n) = 1e400 overflows float64.
-        ("construct", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1e-200}, (2, 3)),
+        ("construct", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "s_max": 1e6}, (3,), ""),
+        # r0^(1-n) = 1e400 overflows float64, and the anchor's time scale
+        # sqrt(r0/|r''(0)|) = 1e-300 is below the integrator's smallest step.
+        ("construct", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1e-200}, (2,), "r0"),
         # The window ends before the first positive critical point of r.
         ("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "C": 0.1, "signs": True,
-                      "r0": 0.8, "s_max": 0.5}, (2,)),
+                      "r0": 0.8, "s_max": 0.5}, (2,), ""),
         # 1.2e301 export rows: refused before the grid is allocated.
-        ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "grid_step": 1e-300}, (2,)),
+        ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "grid_step": 1e-300}, (2,), ""),
         # A zero step is an error from the config key, as from the flag.
         ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
-                       "grid_step": 0}, (2,)),
+                       "grid_step": 0}, (2,), ""),
         # 2**62 eigenvalue segments: refused before the grid is allocated.
         ("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "interval": [0.1, 0.5],
-                      "num": 4611686018427387904}, (2,)),
+                      "num": 4611686018427387904}, (2,), ""),
         # 2 num is over the segment bound: refused before the solve at num.
         ("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 2.0,
-                      "interval": [0.1, 0.5], "num": 500_001}, (2,)),
+                      "interval": [0.1, 0.5], "num": 500_001}, (2,), ""),
         # The ODE coefficients n (n - 1) overflow float64.
-        ("construct", {"n": 10**400, "R": -6.0, "a": 1.0, "r0": 1.0}, (2,)),
+        ("construct", {"n": 10**400, "R": -6.0, "a": 1.0, "r0": 1.0}, (2,), ""),
         # An integer that no float can hold is not a finite number.
-        ("construct", {"n": 3, "R": 10**400, "a": 1.0, "r0": 1.0}, (2,)),
+        ("construct", {"n": 3, "R": 10**400, "a": 1.0, "r0": 1.0}, (2,), ""),
         # The tag is an output basename, so it may not leave --out.
         ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
-                       "tag": "../../x/y"}, (2,)),
+                       "tag": "../../x/y"}, (2,), ""),
         ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
-                       "tag": "../name"}, (2,)),
+                       "tag": "../name"}, (2,), ""),
         # Tolerances must be finite, or the envelope cannot be written.
         ("construct", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0,
-                       "tolerances": {"critical": math.inf}}, (2,)),
+                       "tolerances": {"critical": math.inf}}, (2,), ""),
         # The matching tolerance is a fixed constant, not a tolerance name.
         ("example1", {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1.5, "s_max": 3.0,
-                      "tolerances": {"root": 1e-30}}, (2,)),
+                      "tolerances": {"root": 1e-30}}, (2,), ""),
+        # Eigenvalue steps so short that 1/h^2 underflows the division
+        # (1e-300), overflows to inf (1e-155) or overflows inside the
+        # tridiagonal solver (1e-140).
+        *(("spectrum", {"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 2.0, "num": 64,
+                        "interval": [0.0, width]}, (2,), "interval")
+          for width in (1e-300, 1e-155, 1e-140)),
     ],
     ids=["huge_window", "tiny_r0", "signs_no_critical_point", "grid_step_tiny",
          "grid_step_zero", "num_huge", "num_over_half", "n_huge", "int_too_large",
-         "tag_path", "tag_parent", "tolerance_infinite", "tolerance_root"],
+         "tag_path", "tag_parent", "tolerance_infinite", "tolerance_root",
+         "interval_1e-300", "interval_1e-155", "interval_1e-140"],
 )
-def test_out_of_range_construct_fails_cleanly(tmp_path, command, config, codes):
+def test_out_of_range_construct_fails_cleanly(tmp_path, command, config, codes, needle):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "c.json", config)
     proc = subprocess.run(
@@ -313,6 +321,7 @@ def test_out_of_range_construct_fails_cleanly(tmp_path, command, config, codes):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert needle in lines[0]
     # Nothing is written: not beside --out, and not a CSV before the error.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"]
     assert list(out.iterdir()) == []

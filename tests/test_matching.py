@@ -22,7 +22,15 @@ from warpcrit import (
     solve_potential,
 )
 from warpcrit.matching import (
+    _GL_ORDER,
+    _SUBDIV,
     FiberSpec,
+    _base_panels,
+    _get_table,
+    _panel_quad,
+    _step_basis,
+    _subdivided,
+    _table_nodes,
     build_quotient_domain,
     build_two_boundary_domain,
     c_threshold,
@@ -34,6 +42,11 @@ from warpcrit.matching import (
     match_boundary,
     schwarzschild_form,
 )
+from warpcrit.profiles import find_roots
+from warpcrit.rk45 import DenseSolution, hermite_quintic
+from warpcrit.support import gauss_legendre
+
+LD = np.longdouble
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +138,80 @@ def test_even_integrand_symmetric_ranges(neg_profile):
     a1 = improper_integral(neg_profile, -3.0, -1.0)
     a2 = improper_integral(neg_profile, 1.0, 3.0)
     assert a1 == pytest.approx(a2, rel=1e-13)
+
+
+# ----------------------------------------------------------------------
+# Step-aligned matching table against the dense-output route
+# ----------------------------------------------------------------------
+
+
+def _ulps(got, ref) -> float:
+    """Largest |got - ref| in float64 units in the last place of ref."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return float(np.max(np.abs(got - ref) / np.spacing(np.abs(ref))))
+
+
+@pytest.mark.parametrize("name", ["neg_profile", "flat_profile", "pos_profile"])
+def test_step_table_matches_dense_route(name, request):
+    # Reference: every sub-panel sampled through Profile.sample_base.
+    profile = request.getfixturevalue(name)
+    table = _get_table(profile)
+    nodes, limit = _table_nodes(profile)
+    fine = _subdivided(nodes)
+    panels = _panel_quad(profile.sample_base, fine)
+    prefix = np.concatenate([[0.0], np.cumsum(panels, dtype=LD)]).astype(float)
+    offset = prefix[np.argmin(np.abs(fine - LD(profile.theta)))]
+    assert table.limit == limit
+    np.testing.assert_array_equal(table.xs, fine.astype(float))
+    assert _ulps(table.prefix, prefix) <= 4
+    assert _ulps(table.theta_offset, offset) <= 4
+    if name == "pos_profile":
+        assert limit == find_roots(profile).s1 < profile.s_max
+
+
+def test_step_basis_rows_are_hermite_quintic():
+    basis = _step_basis()
+    assert basis.shape == (_SUBDIV * _GL_ORDER, 6) and basis.dtype == LD
+    # The fractions are the points _panel_quad samples on a unit step.
+    gx, _ = gauss_legendre(_GL_ORDER)
+    fine = _subdivided(np.array([0.0, 1.0], dtype=LD))
+    tau = (fine[:-1, None] + np.diff(fine)[:, None] * gx[None, :]).ravel()
+    data = np.random.default_rng(0).standard_normal(6).astype(LD)
+    np.testing.assert_array_equal(basis @ data, hermite_quintic(tau, *data))
+
+
+def test_partial_steps_take_the_dense_route(neg_profile):
+    # Both range ends fall inside steps, and the mirrored half s < 0 has no
+    # base steps: those panels must be the dense route's, bit for bit.
+    ts, grid = neg_profile._base.ts, neg_profile.grid
+    lo = -(ts[5] + 0.3 * (ts[6] - ts[5]))
+    hi = ts[40] + 0.6 * (ts[41] - ts[40])
+    nodes = np.concatenate([[lo], grid[(grid > lo) & (grid < hi)], [hi]])
+    got = _base_panels(neg_profile, nodes).reshape(-1, _SUBDIV)
+    ref = _panel_quad(neg_profile.sample_base, _subdivided(nodes)).reshape(-1, _SUBDIV)
+    mirrored = nodes[:-1] < 0
+    assert mirrored.sum() == 6
+    np.testing.assert_array_equal(got[mirrored], ref[mirrored])
+    np.testing.assert_array_equal(got[-1], ref[-1])
+    assert _ulps(got, ref) <= 4
+
+
+def test_table_samples_dense_output_only_at_theta(monkeypatch):
+    profile = integrate_profile(OdeParams(n=3, R=-6.0, a=1.0), r0=1.0, s_max=9.0)
+    profile.theta, find_roots(profile)  # their root searches use dense output
+    points = []
+    call = DenseSolution.__call__
+
+    def counting(self, t):
+        points.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(DenseSolution, "__call__", counting)
+    _get_table(profile)
+    # The two partial steps on either side of theta, 4 x 20 points each;
+    # the dense route sampled 80 points in each of the full steps as well.
+    assert profile._base.ts.size > 1000
+    assert sum(points) <= 2 * _SUBDIV * _GL_ORDER
 
 
 # ----------------------------------------------------------------------

@@ -229,6 +229,22 @@ def test_interval_validation(osc_min):
         eigenvalue_at_resolution(osc_min, (-1.0, 1.0), 4)
 
 
+def test_step_bound_is_checked_before_any_solve(osc_min, monkeypatch):
+    # A width of 1e-12 over 64 segments is far above the bound.  From 1e-75
+    # down the tridiagonal solver fails, and 1/h^2 itself overflows from
+    # 1e-155 and divides by zero from 1e-300.
+    beta, _, _, _ = eigenvalue_at_resolution(osc_min, (0.0, 1e-12), 64)
+    assert math.isclose(beta, (math.pi / 1e-12) ** 2, rel_tol=1e-3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the step")
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", no_solve)
+    for width in (1e-75, 1e-140, 1e-155, 1e-300):
+        with pytest.raises(RangeError, match="too short for 64 segments"):
+            eigenvalue_at_resolution(osc_min, (0.0, width), 64)
+
+
 def test_num_bound_is_checked_before_any_solve(osc_min, monkeypatch):
     # 2 num = 1,000,002 segments is over the bound; the solve at num alone
     # (500,001) would be allowed, so it must never start.
