@@ -289,11 +289,21 @@ class Profile:
                 f"[{self.s_min:.6g}, {self.s_max:.6g}]"
             )
 
+    def _dense(self) -> DenseSolution:
+        """The integrator's dense base; a profile rebuilt from a grid has none."""
+        if self._base is None:
+            raise InvalidRegime(
+                "profile has no dense base: one rebuilt from a grid can only be "
+                "evaluated at its stored nodes"
+            )
+        return self._base
+
     def sample_base(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Evaluate (r, r', lam0, lam0') at arbitrary arclengths.
 
         Uses the dense output of the integrator with the parity relations
         (r, lam0 even; r', lam0' odd), so mirrored queries agree exactly.
+        Raises InvalidRegime for a profile rebuilt from a grid, which has none.
         """
         s = np.atleast_1d(np.asarray(s, dtype=_LD))
         self._check_window(s)
@@ -305,7 +315,7 @@ class Profile:
                 "constant solution carries no even potential branch"
             )
         sign = np.where(s < 0, _LD(-1.0), _LD(1.0))
-        y = self._base(np.abs(s))
+        y = self._dense()(np.abs(s))
         r = y[:, 0]
         rp = sign * y[:, 1]
         lam0 = y[:, 2]
@@ -361,7 +371,7 @@ class Profile:
             )
         s1 = find_roots(self).s1 if self.params.R > 0 else None
         f = lambda s: float(self.sample_base(s)[2][0])
-        base = self._base
+        base = self._dense()
         roots = _node_roots(
             base.ts, base.ys[:, 2], f, 1e-13, lo=1e-12, hi=self.s_max if s1 is None else s1
         )
@@ -800,9 +810,7 @@ def extend_base(profile: Profile, *, r_target: float) -> DenseSolution:
     only: it starts at the base's last node and holds the outward segments.
     It is cached and does not alter the profile's grid or window.
     """
-    base = profile._base
-    if base is None:
-        raise InvalidRegime("profile has no dense base to extend")
+    base = profile._dense()
     ext = profile._extension
     if ext is None:
         ext = DenseSolution(base.ts[-1:], base.ys[-1:], base.dys[-1:], base.d2ys[-1:])

@@ -15,7 +15,8 @@ scalar operation costs a fraction of a small-array one.  Each weighted sum
 runs left to right, zero weights included, and the solution and error sums
 start from zero, as a matrix product does.  Nothing is updated in place, so a
 rejected attempt cannot leak into the first stage of the retry.  One call
-makes at most ``_MAX_ATTEMPTS`` step attempts.
+makes at most ``_MAX_ATTEMPTS`` step attempts, and gives up after a tenth
+of them if it has covered less than a tenth of its window.
 
 Dense output is per-component two-point quintic Hermite: the caller supplies
 the first and second derivative of the state as functions of the state, both
@@ -162,7 +163,9 @@ def integrate(
 
     Raises ``StepFailure`` if the controller cannot meet the tolerance above
     the minimal representable step, or if the integration needs more than
-    ``_MAX_ATTEMPTS`` step attempts.
+    ``_MAX_ATTEMPTS`` step attempts; that is judged early, after
+    ``_MAX_ATTEMPTS // 10`` attempts, by extrapolating the pace so far over
+    the whole window.
     """
     t0, t_end = (_LD(t_span[0]), _LD(t_span[1]))
     if not t_end > t0:
@@ -192,6 +195,7 @@ def integrate(
     h_min_floor = np.finfo(_LD).eps * 16
     guard_hit = False
     attempts = 0
+    checkpoint = _MAX_ATTEMPTS // 10
 
     while t < t_end:
         h = min(h, t_end - t, max_step)
@@ -203,6 +207,13 @@ def integrate(
             raise StepFailure(
                 f"step budget of {_MAX_ATTEMPTS} attempts exhausted at "
                 f"t={float(t):.6g} (h={float(h):.3g})"
+            )
+        # At the pace so far the window would outrun the budget: fail now.
+        if attempts == checkpoint and attempts * (t_end - t0) > _MAX_ATTEMPTS * (t - t0):
+            raise StepFailure(
+                f"step budget of {_MAX_ATTEMPTS} attempts would run out: the first "
+                f"{attempts} reached t={float(t):.6g} of [{float(t0):.6g}, "
+                f"{float(t_end):.6g}]"
             )
         attempts += 1
         k1 = fun([u + h * (a10 * c0) for u, c0 in zip(y, k0)])

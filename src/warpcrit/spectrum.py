@@ -13,8 +13,9 @@ psi = w^{1/2} phi symmetrizes it into the Schroedinger form
 discretized by second-order centered differences into a symmetric
 tridiagonal matrix whose lowest eigenpair comes from
 ``scipy.linalg.eigh_tridiagonal``.
-Step-halving plus Richardson extrapolation gives the eigenvalue estimate and
-an error bound.
+Richardson extrapolation over one step-halving pair of solves (num and 2 num
+segments, one profile sample each) gives the eigenvalue, its error bound and,
+on the matched domain, the weighted integral identity.
 
 Eigenvalue conventions.  beta is the smallest Dirichlet eigenvalue of
 -Delta.  Three scalings of the zeroth-order shift circulate for the operator
@@ -152,21 +153,10 @@ def _window_check(profile: Profile, lo: float, hi: float) -> None:
         )
 
 
-def _warp_at(profile: Profile, s: np.ndarray):
-    """(r, r') at the nodes; constant profiles short-circuit."""
-    if profile.constant_solution:
-        r = np.full(s.shape, _LD(profile.r0))
-        return r, np.zeros_like(r)
-    r, rp, _, _ = profile.sample_base(s)
-    return np.asarray(r, dtype=_LD), np.asarray(rp, dtype=_LD)
-
-
-def _schroedinger_potential(profile: Profile, s: np.ndarray) -> np.ndarray:
-    params = profile.params
-    n = params.n
-    r, rp = _warp_at(profile, s)
+def _schroedinger_potential(params: OdeParams, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
     if np.any(np.asarray(r, dtype=float) <= 0.0):
         raise RangeError("interval touches the degenerate radius r = 0")
+    n = params.n
     racc = warp_accel(params, r)
     return _LD(n - 1) / 2 * (racc / r) + _LD((n - 1) * (n - 3)) / 4 * (rp / r) ** 2
 
@@ -191,7 +181,8 @@ def eigenvalue_at_resolution(profile: Profile, interval, num: int):
             "the 1/h^2 matrix entries overflow"
         )
     nodes = lo + h * np.arange(1, num)
-    u = np.asarray(_schroedinger_potential(profile, nodes), dtype=float)
+    v = profile.sample(nodes)
+    u = np.asarray(_schroedinger_potential(profile.params, v.r, v.rp), dtype=float)
     diag = 2.0 / h**2 + u
     off = np.full(num - 2, -1.0 / h**2)
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
@@ -201,8 +192,7 @@ def eigenvalue_at_resolution(profile: Profile, interval, num: int):
         (psi @ (diag * psi) + 2.0 * off[0] * float(psi[1:] @ psi[:-1]))
         / (psi @ psi)
     )
-    r, _ = _warp_at(profile, nodes)
-    phi = psi / np.asarray(r, dtype=float) ** ((profile.params.n - 1) / 2.0)
+    phi = psi / np.asarray(v.r, dtype=float) ** ((profile.params.n - 1) / 2.0)
     peak = phi[np.argmax(np.abs(phi))]
     phi = phi / peak
     return beta, nodes, phi, ray
@@ -238,29 +228,21 @@ def _coherent_verdict(
     return verdict
 
 
-def _check_halving(num: int) -> None:
-    """Refuse a step-halving estimate before it solves at num and 2 num."""
+def _halving_pair(profile: Profile, interval, num: int):
+    """Solves at num and 2 num segments; 2 num is bounds-checked before either."""
     if not 2 * num <= _MAX_SEGMENTS:
         raise RangeError(
             f"num must be at most {_MAX_SEGMENTS // 2}, got {num}; the "
             "step-halving estimate also solves at 2 num segments"
         )
+    return tuple(eigenvalue_at_resolution(profile, interval, k) for k in (num, 2 * num))
 
 
-def first_dirichlet_eigenvalue(
-    profile: Profile, interval, *, num: int = 512
-) -> SpectralResult:
-    """First Dirichlet eigenvalue of the shifted radial operator on interval.
-
-    Solves at `num` and `2*num` segments, Richardson-extrapolates the
-    second-order discretization, and turns the step-halving gap into the
-    error bound used for the POSITIVE/ZERO/NEGATIVE verdict.
-    """
-    _check_halving(num)
+def _spectral_result(profile: Profile, interval, num: int, pair) -> SpectralResult:
+    """Richardson extrapolation and verdict from one step-halving pair."""
     params = profile.params
     n = params.n
-    beta_h, _, _, _ = eigenvalue_at_resolution(profile, interval, num)
-    beta_h2, nodes, phi, ray = eigenvalue_at_resolution(profile, interval, 2 * num)
+    (beta_h, _, _, _), (beta_h2, nodes, phi, ray) = pair
     beta = (4.0 * beta_h2 - beta_h) / 3.0
     dbeta = abs(beta_h - beta_h2) / 3.0 + _EIG_FLOOR * max(1.0, abs(beta))
     gamma = (n - 1) * beta - params.R
@@ -284,38 +266,54 @@ def first_dirichlet_eigenvalue(
     )
 
 
+def first_dirichlet_eigenvalue(
+    profile: Profile, interval, *, num: int = 512
+) -> SpectralResult:
+    """First Dirichlet eigenvalue of the shifted radial operator on interval.
+
+    Solves once at `num` and once at `2*num` segments, Richardson-extrapolates
+    the second-order discretization, and turns the step-halving gap into the
+    error bound used for the POSITIVE/ZERO/NEGATIVE verdict.
+    """
+    return _spectral_result(profile, interval, num, _halving_pair(profile, interval, num))
+
+
 # ----------------------------------------------------------------------
 # Structural sign predictions
 # ----------------------------------------------------------------------
 
 
-def _identity_ratio(profile: Profile, interval, num: int) -> float:
-    """Ratio of the two sides of gamma_red Int(lam phi w) = n/(n-1) Int(phi w)."""
-    params = profile.params
-    n = params.n
-    beta, nodes, phi, _ = eigenvalue_at_resolution(profile, interval, num)
-    gamma_red = beta - params.R / (n - 1)
-    v = profile.sample(nodes)
-    w = np.asarray(v.r, dtype=float) ** (n - 1)
-    lam = np.asarray(v.lam, dtype=float)
-    # phi vanishes at both interval ends: extend by the zero boundary values.
-    grid = np.concatenate(([float(interval[0])], nodes, [float(interval[1])]))
-    left = gamma_red * np.trapezoid(np.concatenate(([0.0], lam * phi * w, [0.0])), grid)
-    right = n / (n - 1) * np.trapezoid(np.concatenate(([0.0], phi * w, [0.0])), grid)
-    return left / right
+def _identity_defect(profile: Profile, interval, pair) -> float:
+    """|ratio - 1| for the sides of gamma_red Int(lam phi w) = n/(n-1) Int(phi w),
+    with the ratio Richardson-extrapolated over one step-halving pair of solves."""
+    n = profile.params.n
+    ratios = []
+    for beta, nodes, phi, _ in pair:
+        gamma_red = beta - profile.params.R / (n - 1)
+        v = profile.sample(nodes)
+        w = np.asarray(v.r, dtype=float) ** (n - 1)
+        lam = np.asarray(v.lam, dtype=float)
+        # phi vanishes at both interval ends: extend by the zero boundary values.
+        grid = np.concatenate(([float(interval[0])], nodes, [float(interval[1])]))
+        left = gamma_red * np.trapezoid(np.concatenate(([0.0], lam * phi * w, [0.0])), grid)
+        right = n / (n - 1) * np.trapezoid(np.concatenate(([0.0], phi * w, [0.0])), grid)
+        ratios.append(left / right)
+    q_h, q_h2 = ratios
+    return abs((4.0 * q_h2 - q_h) / 3.0 - 1.0)
 
 
 def identity_residual(profile: Profile, interval, *, num: int = 512) -> float:
     """Relative defect of the weighted integral identity on the interval.
 
     Both sides scale with the eigenvector normalization, so the residual is
-    |ratio - 1| with the ratio Richardson-extrapolated over step halving
-    (the eigenvector and the trapezoid rule are each second order).
+    |ratio - 1| with the ratio Richardson-extrapolated over the solves at
+    `num` and `2 num` segments (the eigenvector and the trapezoid rule are
+    each second order).  Raises InvalidRegime before any solve when the
+    profile carries no potential.
     """
-    _check_halving(num)
-    q_h = _identity_ratio(profile, interval, num)
-    q_h2 = _identity_ratio(profile, interval, 2 * num)
-    return abs((4.0 * q_h2 - q_h) / 3.0 - 1.0)
+    if not profile.complete:
+        raise InvalidRegime("the integral identity needs a profile with a potential")
+    return _identity_defect(profile, interval, _halving_pair(profile, interval, num))
 
 
 def verify_eigenvalue_signs(
@@ -362,8 +360,9 @@ def verify_eigenvalue_signs(
         profile, (-pad, float(s1) + pad), num=num
     )
     matched_iv = (float(roots.zeta2), float(roots.zeta1))
-    matched = first_dirichlet_eigenvalue(profile, matched_iv, num=num)
-    resid = identity_residual(profile, matched_iv, num=num)
+    pair = _halving_pair(profile, matched_iv, num)
+    matched = _spectral_result(profile, matched_iv, num, pair)
+    resid = _identity_defect(profile, matched_iv, pair)
 
     quotient = None
     if phase == "min":

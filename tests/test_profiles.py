@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from warpcrit import (
     DegenerateInitial,
+    InvalidRegime,
     NonPositiveRadius,
     OdeParams,
     OutOfGrid,
@@ -21,7 +22,9 @@ from warpcrit import (
     conserved_quantity,
     critical_radius,
     find_roots,
+    first_dirichlet_eigenvalue,
     integrate_profile,
+    profile_from_arrays,
     solve_potential,
     solve_radius_for_kappa0,
     space_form_profile,
@@ -355,7 +358,30 @@ def test_find_roots_matches_fine_scan(params, r0, s_max):
             assert np.max(np.abs(got - want), initial=0.0) < 1e-11, (got, want)
 
 
+@pytest.mark.parametrize(
+    "params", [OdeParams(n=3, R=6.0, a=1.0), OdeParams(n=3, R=-6.0, a=1.0)]
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p: p.sample([0.1]),
+        find_roots,
+        lambda p: p.theta,
+        lambda p: first_dirichlet_eigenvalue(p, (-0.5, 0.5), num=64),
+    ],
+    ids=["sample", "find_roots", "theta", "first_dirichlet_eigenvalue"],
+)
+def test_grid_backed_profile_refuses_off_grid_evaluation(params, entry):
+    # A profile rebuilt from its stored columns has no dense interpolant.
+    prof = solve_potential(integrate_profile(params, 0.8, 2.0), 0.1)
+    names = ("s", "r", "rp", "lam", "lamp")
+    cols = dict(zip(names, (prof.grid, prof.r, prof.rp, prof.lam, prof.lamp)))
+    with pytest.raises(InvalidRegime, match="no dense base"):
+        entry(profile_from_arrays(params, cols))
+
+
 if __name__ == "__main__":
     import sys
 
     sys.exit(pytest.main([__file__, "-v", "-s"]))
+

@@ -143,3 +143,51 @@ def test_window_beyond_budget_fails_at_once():
     fun, d2fun = _rhs_functions(_OSCILLATOR)
     with pytest.raises(StepFailure, match="needs more than"):
         rk45.integrate(fun, d2fun, _Y0, (0.0, 1e6))
+
+
+def _counting(fun):
+    """``fun`` wrapped to append to the returned list on every call."""
+    calls = []
+
+    def counted(y):
+        calls.append(None)
+        return fun(y)
+
+    return counted, calls
+
+
+def test_hopeless_window_fails_at_a_tenth_of_the_budget(monkeypatch):
+    # The oscillator takes about 520 attempts per 4 units of s, so 40 units
+    # need about 5,200, over a budget of 1,000.  After 100 attempts the pace
+    # shows it, and the call stops there instead of using up the budget.
+    monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 1000)
+    fun, d2fun = _rhs_functions(_OSCILLATOR)
+    counted, calls = _counting(fun)
+    with pytest.raises(StepFailure, match="budget"):
+        rk45.integrate(counted, d2fun, _Y0, (0.0, 40.0))
+    assert len(calls) == 1 + 6 * 100
+    # 4 units fit the same budget, and the early check lets them through.
+    sol, _ = rk45.integrate(fun, d2fun, _Y0, (0.0, 4.0))
+    assert sol.t_end == 4.0
+
+
+def test_budget_caps_a_window_that_slows_down(monkeypatch):
+    # x'' = -exp(2 t) x, with t carried as the first component: the first
+    # tenth of the budget covers more than a tenth of the window, but the
+    # frequency keeps growing and the whole budget runs out.
+    LD = np.longdouble
+
+    def fun(y):
+        t, x, v = y
+        return LD(1), v, -np.exp(2 * t) * x
+
+    def d2fun(y):
+        t, x, v = y
+        w2 = np.exp(2 * t)
+        return LD(0), -w2 * x, -w2 * (2 * x + v)
+
+    monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 1000)
+    counted, calls = _counting(fun)
+    with pytest.raises(StepFailure, match="budget of 1000 attempts exhausted"):
+        rk45.integrate(counted, d2fun, (0.0, 1.0, 0.0), (0.0, 6.0), rtol=1e-8, atol=1e-10)
+    assert len(calls) == 1 + 6 * 1000

@@ -26,6 +26,7 @@ from warpcrit import (
     OutOfGrid,
     RangeError,
     integrate_profile,
+    rk45,
     solve_potential,
     space_form_profile,
     spectrum,
@@ -273,3 +274,65 @@ def test_identity_on_symmetric_interval(osc_min):
     resid = identity_residual(prof, (-theta, theta))
     print(f"identity on quotient interval: {resid:.3e}")
     assert resid < 1e-6
+
+
+def test_identity_needs_a_potential(monkeypatch):
+    # Without a potential lam is undefined; the residual used to come out nan.
+    def no_solve(*args):
+        raise AssertionError("solved a profile without a potential")
+
+    monkeypatch.setattr(spectrum, "eigenvalue_at_resolution", no_solve)
+    with pytest.raises(InvalidRegime, match="needs a profile with a potential"):
+        identity_residual(integrate_profile(POS, 0.8, 6.0), (-0.5, 0.5), num=64)
+
+
+# ----------------------------------------------------------------------
+# One solve per eigenproblem
+# ----------------------------------------------------------------------
+
+
+def test_sign_report_solves_each_eigenproblem_once(monkeypatch):
+    solves, sizes = [], []
+    solve, eigh = spectrum.eigenvalue_at_resolution, spectrum.eigh_tridiagonal
+
+    def counted_solve(profile, interval, num):
+        solves.append((tuple(interval), num))
+        return solve(profile, interval, num)
+
+    def counted_eigh(diag, off, **kwargs):
+        sizes.append(len(diag))
+        return eigh(diag, off, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigenvalue_at_resolution", counted_solve)
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
+    report = verify_eigenvalue_signs(POS, 0.8, 0.1, num=64)
+    # Four intervals (zero mode, enclosing, matched, quotient) at 64 and 128.
+    assert report.quotient is not None
+    assert len(solves) == len(set(solves)) == 8
+    assert sorted(sizes) == [63] * 4 + [127] * 4
+
+
+def test_one_solve_samples_the_profile_once(osc_min, monkeypatch):
+    points = []
+    call = rk45.DenseSolution.__call__
+
+    def counted_call(self, t):
+        points.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(rk45.DenseSolution, "__call__", counted_call)
+    eigenvalue_at_resolution(osc_min, (0.1, 0.9), 64)
+    assert points == [63]
+
+
+def test_sign_report_matches_the_public_calls():
+    # The report derives the matched eigenvalue and the identity from one
+    # pair of solves; the public functions solve it on their own.
+    report = verify_eigenvalue_signs(POS, 0.8, 0.1, num=64)
+    prof = solve_potential(integrate_profile(POS, 0.8, 12.0), 0.1)
+    interval = report.matched.interval
+    matched = first_dirichlet_eigenvalue(prof, interval, num=64)
+    assert matched.as_dict() == report.matched.as_dict()
+    assert np.array_equal(matched.nodes, report.matched.nodes)
+    assert np.array_equal(matched.eigenvector, report.matched.eigenvector)
+    assert identity_residual(prof, interval, num=64) == report.identity_residual
