@@ -98,6 +98,9 @@ _ZETA_TOL = 1e-12
 # absolute on the evenness gap, and the floor of the positivity sampling pad.
 _LAMBDA_ROOT_TOL = 1e-10
 
+# Relative tolerance of the fiber curvature against the profile's kappa0.
+_FIBER_TOL = 1e-10
+
 # Relative band of classify_roots around the threshold C0.
 _CLASSIFY_TOL = 1e-10
 
@@ -702,17 +705,13 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
 # ----------------------------------------------------------------------
 
 
-def _default_fiber(profile: Profile, symmetry: bool = False) -> FiberSpec:
-    return FiberSpec(dim=profile.params.n - 1, kappa0=profile.kappa0, symmetry=symmetry)
-
-
-def _check_fiber(profile: Profile, fiber: FiberSpec, tol: float = 1e-10) -> None:
+def _check_fiber(profile: Profile, fiber: FiberSpec) -> None:
     if fiber.dim != profile.params.n - 1:
         raise FiberMismatch(
             f"fiber dimension {fiber.dim} does not match n-1 = {profile.params.n - 1}"
         )
     scale = max(1.0, abs(profile.kappa0))
-    if abs(fiber.kappa0 - profile.kappa0) > tol * scale:
+    if abs(fiber.kappa0 - profile.kappa0) > _FIBER_TOL * scale:
         raise FiberMismatch(
             f"fiber curvature {fiber.kappa0:.12g} inconsistent with the "
             f"profile's conserved value {profile.kappa0:.12g}"
@@ -721,22 +720,6 @@ def _check_fiber(profile: Profile, fiber: FiberSpec, tol: float = 1e-10) -> None
         raise FiberMismatch(
             "the fiber curvature must be positive when R >= 0"
         )
-
-
-def _boundary_face(profile: Profile, s: float, side: str) -> BoundaryFace:
-    v = profile.sample(s)
-    n = profile.params.n
-    r = float(v.r[0])
-    rp = float(v.rp[0])
-    lamp = float(v.lamp[0])
-    orient = 1.0 if side == "right" else -1.0
-    return BoundaryFace(
-        side=side,
-        s=float(s),
-        radius=r,
-        mean_curvature=orient * (n - 1) * rp / r,
-        normal_derivative=orient * lamp,
-    )
 
 
 def _interior_positivity(profile: Profile, lo: float, hi: float) -> None:
@@ -749,6 +732,47 @@ def _interior_positivity(profile: Profile, lo: float, hi: float) -> None:
             f"potential is not positive inside the domain (lam({xs[i]:.6g}) = "
             f"{lam[i]:.3e}); a valid domain needs the min-phase anchor"
         )
+
+
+def _certified_domain(
+    complete: Profile,
+    lo: float,
+    hi: float,
+    fiber: FiberSpec,
+    components: int,
+    quotient: dict | None = None,
+) -> MatchedDomain:
+    """The domain [lo, hi] once lam vanishes at lo and hi, lam > 0 inside and
+    ``fiber`` matches, in that order; one sample at (lo, hi) gives the faces."""
+    v = complete.sample([lo, hi])
+    lam2, lam1 = (float(x) for x in v.lam)
+    scale = max(1.0, float(np.max(np.abs(np.asarray(complete.lam, dtype=float)))))
+    if abs(lam1) > _LAMBDA_ROOT_TOL * scale or abs(lam2) > _LAMBDA_ROOT_TOL * scale:
+        raise VerificationError(
+            f"potential does not vanish at the matched boundary: "
+            f"lam(zeta1) = {lam1:.3e}, lam(zeta2) = {lam2:.3e}"
+        )
+    _interior_positivity(complete, lo, hi)
+    _check_fiber(complete, fiber)
+    n = complete.params.n
+    faces = []
+    for k, (side, orient, s) in enumerate((("left", -1.0, lo), ("right", 1.0, hi))):
+        r = float(v.r[k])
+        faces.append(BoundaryFace(
+            side=side,
+            s=float(s),
+            radius=r,
+            mean_curvature=orient * (n - 1) * float(v.rp[k]) / r,
+            normal_derivative=orient * float(v.lamp[k]),
+        ))
+    return MatchedDomain(
+        profile=complete,
+        interval=(lo, hi),
+        fiber=fiber,
+        boundary=tuple(faces),
+        boundary_components=components,
+        quotient=quotient,
+    )
 
 
 def build_two_boundary_domain(
@@ -774,35 +798,9 @@ def build_two_boundary_domain(
         )
     profile = integrate_profile(params, r0, s_max)
     match = match_boundary(profile, zeta1)
-    complete = solve_potential(profile, match.C)
-    _check_lambda_roots(complete, match.zeta2, zeta1)
-    _interior_positivity(complete, match.zeta2, zeta1)
     if fiber is None:
-        fiber = _default_fiber(complete)
-    _check_fiber(complete, fiber)
-    faces = (
-        _boundary_face(complete, match.zeta2, "left"),
-        _boundary_face(complete, zeta1, "right"),
-    )
-    return MatchedDomain(
-        profile=complete,
-        interval=(match.zeta2, zeta1),
-        fiber=fiber,
-        boundary=faces,
-        boundary_components=2,
-        quotient=None,
-    )
-
-
-def _check_lambda_roots(profile: Profile, zeta2: float, zeta1: float) -> None:
-    lam1 = float(profile.sample(zeta1).lam[0])
-    lam2 = float(profile.sample(zeta2).lam[0])
-    scale = max(1.0, float(np.max(np.abs(np.asarray(profile.lam, dtype=float)))))
-    if abs(lam1) > _LAMBDA_ROOT_TOL * scale or abs(lam2) > _LAMBDA_ROOT_TOL * scale:
-        raise VerificationError(
-            f"potential does not vanish at the matched boundary: "
-            f"lam(zeta1) = {lam1:.3e}, lam(zeta2) = {lam2:.3e}"
-        )
+        fiber = FiberSpec(dim=params.n - 1, kappa0=profile.kappa0)
+    return _certified_domain(solve_potential(profile, match.C), match.zeta2, zeta1, fiber, 2)
 
 
 def build_quotient_domain(
@@ -827,7 +825,7 @@ def build_quotient_domain(
         )
     profile = integrate_profile(params, r0, s_max)
     if fiber is None:
-        fiber = _default_fiber(profile, symmetry=bool(profile.kappa0 > 0.0))
+        fiber = FiberSpec(params.n - 1, profile.kappa0, symmetry=bool(profile.kappa0 > 0.0))
     if not fiber.symmetry:
         raise NoFreeInvolution(
             "the fiber carries no free involution; the quotient "
@@ -835,9 +833,14 @@ def build_quotient_domain(
         )
     complete = solve_potential(profile, 0.0)
     theta = complete.theta
-    _check_lambda_roots(complete, -theta, theta)
-    _interior_positivity(complete, -theta, theta)
-    _check_fiber(complete, fiber)
+    domain = _certified_domain(
+        complete, -theta, theta, fiber, 1,
+        quotient={
+            "group": [["id", 0], ["alpha", 1]],
+            "identification": "(s, x) ~ (-s, alpha(x))",
+            "free": True,
+        },
+    )
     # Evenness of the potential on the symmetric interval: exact for C = 0.
     xs = np.linspace(0.0, theta, 257)
     gap = np.max(
@@ -851,22 +854,7 @@ def build_quotient_domain(
             f"potential fails to be even on the symmetric interval (gap {gap:.3e}); "
             "it cannot descend to the quotient"
         )
-    faces = (
-        _boundary_face(complete, -theta, "left"),
-        _boundary_face(complete, theta, "right"),
-    )
-    return MatchedDomain(
-        profile=complete,
-        interval=(-theta, theta),
-        fiber=fiber,
-        boundary=faces,
-        boundary_components=1,
-        quotient={
-            "group": [["id", 0], ["alpha", 1]],
-            "identification": "(s, x) ~ (-s, alpha(x))",
-            "free": True,
-        },
-    )
+    return domain
 
 
 # ----------------------------------------------------------------------

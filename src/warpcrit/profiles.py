@@ -747,9 +747,10 @@ def find_roots(profile: Profile) -> RootSet:
     Roots are bracketed on the profile's grid from the values of r' and lam
     stored there -- for an integrated profile the mirrored step nodes of
     the integrator, for a closed-form space form a uniform grid -- and
-    polished by bisection on the dense solution to within 1e-12.  For
-    R > 0 the period of the warp factor (distance between consecutive
-    anchor returns) is reported.
+    polished by bisection on the dense solution to within 1e-12.  On the
+    mirrored grid r' is odd and r even, so the roots of r' are polished on
+    s > 0 only and mirrored with their kinds.  For R > 0 the period of the
+    warp factor (distance between consecutive anchor returns) is reported.
     """
     cached = profile._roots
     if cached is not None and (cached.lam_roots is not None or not profile.complete):
@@ -767,16 +768,21 @@ def find_roots(profile: Profile) -> RootSet:
 
     lo = profile.s_min + (1e-12 if profile.degenerate_origin else 0.0)
     rp_f = lambda s: float(profile.sample(s).rp[0])
-    rp_roots = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=lo)
-    if not profile.degenerate_origin:
-        # Anchor root is exact by construction; replace any bracketed copy.
-        rp_roots = [t for t in rp_roots if abs(t) > 10 * _ROOT_TOL]
-        rp_roots.append(0.0)
-        rp_roots = sorted(rp_roots)
-    kinds = tuple(
+    if profile.degenerate_origin:
+        rp_roots = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=lo)
+    else:
+        # A mirrored bracket bisects to exactly the negated root (midpoints,
+        # values and branches all negate).  The anchor root is exact by
+        # construction; drop any bracketed copy.
+        pos = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=0.0)
+        rp_roots = [0.0] + [t for t in pos if t > 10 * _ROOT_TOL]
+    kinds = [
         "min" if float(warp_accel(profile.params, profile.sample(t).r[0])) > 0 else "max"
         for t in rp_roots
-    )
+    ]
+    if not profile.degenerate_origin:
+        rp_roots = [-t for t in rp_roots[:0:-1]] + rp_roots
+        kinds = kinds[:0:-1] + kinds
 
     lam_roots = None
     if profile.complete:
@@ -793,7 +799,7 @@ def find_roots(profile: Profile) -> RootSet:
 
     rs = RootSet(
         rp_roots=np.array(rp_roots, dtype=float),
-        rp_kinds=kinds,
+        rp_kinds=tuple(kinds),
         lam_roots=lam_roots,
         period=period,
         constant_solution=False,

@@ -18,9 +18,11 @@ from warpcrit import (
     OdeParams,
     OutOfRange,
     SingularEndpoint,
+    VerificationError,
     integrate_profile,
     solve_potential,
 )
+from warpcrit import matching
 from warpcrit.matching import (
     _GL_ORDER,
     _SUBDIV,
@@ -383,6 +385,46 @@ def test_max_phase_domain_rejected():
     # Anchoring at a maximum of r makes the potential negative inside.
     with pytest.raises(InvalidRegime):
         build_two_boundary_domain(OdeParams(n=3, R=6.0, a=1.0), r0=1.3, zeta1=0.5, s_max=8.0)
+
+
+_FLAT = OdeParams(n=3, R=0.0, a=1.0)
+_MAX_PHASE = OdeParams(n=3, R=6.0, a=1.0)  # r0 = 1.3 anchors at a maximum of r
+_BUILDERS = {
+    "two_boundary": lambda params, r0, **kw: build_two_boundary_domain(
+        params, r0, 0.5 if params.R > 0 else 1.8, s_max=8.0, **kw
+    ),
+    "quotient": lambda params, r0, **kw: build_quotient_domain(params, r0, s_max=8.0, **kw),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+def test_positivity_is_checked_before_the_fiber(build):
+    # A max-phase anchor and a wrong fiber curvature: positivity fails first.
+    bad = FiberSpec(dim=2, kappa0=9.0, symmetry=True)
+    with pytest.raises(InvalidRegime, match="not positive inside"):
+        build(_MAX_PHASE, 1.3, fiber=bad)
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+def test_faces_come_from_one_boundary_sample(build):
+    dom = build(_FLAT, 1.0)
+    lo, hi = dom.interval
+    v = dom.profile.sample([lo, hi])
+    n = dom.profile.params.n
+    sides = (("left", -1.0, lo), ("right", 1.0, hi))
+    for k, (face, (side, orient, s)) in enumerate(zip(dom.boundary, sides)):
+        r = float(v.r[k])
+        assert (face.side, face.s, face.radius) == (side, s, r)
+        assert face.mean_curvature == orient * (n - 1) * float(v.rp[k]) / r
+        assert face.normal_derivative == orient * float(v.lamp[k])
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+def test_boundary_root_check_names_both_ends(build, monkeypatch):
+    # With no tolerance the rounding residue of lam at the roots fails.
+    monkeypatch.setattr(matching, "_LAMBDA_ROOT_TOL", 0.0)
+    with pytest.raises(VerificationError, match=r"lam\(zeta1\) = .*, lam\(zeta2\) = "):
+        build(_FLAT, 1.0)
 
 
 def test_quotient_domain_structure():

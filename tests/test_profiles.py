@@ -237,6 +237,25 @@ def test_positive_curvature_periodicity():
     assert mid == ["min"], f"anchor kind wrong: {mid}"
 
 
+def test_mirrored_roots_are_polished_on_the_positive_side(monkeypatch):
+    # r' is odd on the mirrored grid: find_roots bisects s > 0 only and
+    # mirrors, so the negative roots are exact negatives of the positive ones.
+    prof = integrate_profile(OdeParams(n=3, R=6.0, a=1.0), r0=0.8, s_max=8.0)
+    sample = prof.sample
+    seen = []
+
+    def spy(s):
+        seen.append(float(np.min(s)))
+        return sample(s)
+
+    monkeypatch.setattr(prof, "sample", spy)
+    roots = find_roots(prof)
+    assert roots.rp_roots.size >= 7  # several periods
+    assert seen and min(seen) >= 0.0
+    assert np.array_equal(roots.rp_roots, -roots.rp_roots[::-1])
+    assert roots.rp_kinds == roots.rp_kinds[::-1]
+
+
 def test_min_max_phase_by_anchor_radius():
     params = OdeParams(n=3, R=6.0, a=1.0)
     r_star = critical_radius(params)
