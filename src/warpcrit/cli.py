@@ -12,8 +12,9 @@ Subcommands
 A command validates, computes, writes its CSVs and returns (exit code,
 payload, summary line).  One runner, ``_run_task``, does the rest for a
 single run and for every entry of a ``"sweep": [...]`` config (fanned out
-over a process pool): it writes ``<tag>.json``, prints the summary line, and
-maps an exception to its exit code and one ``error:`` line on stderr.
+over a process pool, or run in this process after the entries' profiles are
+integrated as one batch): it writes ``<tag>.json``, prints the summary line,
+and maps an exception to its exit code and one ``error:`` line on stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
 3 numerical failure or an unexpected internal error.
@@ -44,7 +45,14 @@ from .matching import (
     build_two_boundary_domain,
     schwarzschild_form,
 )
-from .profiles import OdeParams, Profile, find_roots, integrate_profile, solve_potential
+from .profiles import (
+    OdeParams,
+    Profile,
+    find_roots,
+    integrate_profile,
+    prefetched,
+    solve_potential,
+)
 from .serialize import (
     profile_from_arrays,
     read_profile_csv,
@@ -186,6 +194,34 @@ def _effective_tols(config: dict, overrides: dict, defaults: dict) -> dict:
 _PARAM_KEYS = {"n": _want_int, "R": _want_num, "a": _want_num}
 _COMMON_OPT = {"tolerances": _want_tols, "tag": _want_tag}
 
+# Commands whose first integration is the profile anchored at their own r0.
+_PROFILE_COMMANDS = ("construct", "match", "spectrum", "example1", "example2")
+
+# Most sweep entries whose profiles one batch integrates and holds at once:
+# a profile's dense base takes up to about 1 MB at s_max 12.
+_BATCH_ENTRIES = 64
+
+
+def _s_max(command: str, config: dict) -> float:
+    """The window half-length a command integrates on: 6 for construct,
+    12 for the others, unless the config sets it."""
+    return float(config.get("s_max", 6.0 if command == "construct" else 12.0))
+
+
+def _profile_request(command: str, config: dict):
+    """``(params, r0, s_max)`` of the profile a sweep entry integrates first,
+    or None when the entry has none or its keys would not pass validation."""
+    if command not in _PROFILE_COMMANDS:
+        return None
+    try:
+        for key, check in dict(_PARAM_KEYS, r0=_want_num).items():
+            check(key, config.get(key))
+        if "s_max" in config:
+            _want_num("s_max", config["s_max"])
+        return _params_from(config), float(config["r0"]), _s_max(command, config)
+    except InputError:
+        return None
+
 
 def _resample(profile: Profile, step: float) -> Profile:
     """Uniform resampling of the export grid; the one check of the step."""
@@ -242,7 +278,7 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
         ),
     )
     params = _params_from(config)
-    prof = integrate_profile(params, float(config["r0"]), float(config.get("s_max", 6.0)))
+    prof = integrate_profile(params, float(config["r0"]), _s_max("construct", config))
     roots = None
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
@@ -360,7 +396,7 @@ def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
         _params_from(config),
         float(config["r0"]),
         float(config["zeta1"]),
-        s_max=float(config.get("s_max", 12.0)),
+        s_max=_s_max("match", config),
         fiber=_fiber_from(config),
     )
     payload = {"tolerances": _effective_tols(config, ctx["tols"], {}), **domain.to_dict()}
@@ -397,7 +433,7 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
             params,
             float(config["r0"]),
             float(config.get("C", 0.0)),
-            s_max=float(config.get("s_max", 12.0)),
+            s_max=_s_max("spectrum", config),
             num=num,
         )
         payload["signs"] = report.as_dict()
@@ -407,7 +443,7 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
         )
     if "interval" not in config:
         raise ConfigError("spectrum needs \"interval\" unless \"signs\" is true")
-    prof = integrate_profile(params, float(config["r0"]), float(config.get("s_max", 12.0)))
+    prof = integrate_profile(params, float(config["r0"]), _s_max("spectrum", config))
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
     result = first_dirichlet_eigenvalue(prof, tuple(config["interval"]), num=num)
@@ -430,7 +466,7 @@ def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict, str]:
     chart = schwarzschild_form(
         _params_from(config),
         kappa0=float(config.get("kappa0", 1.0)),
-        s_max=float(config.get("s_max", 12.0)),
+        s_max=_s_max("schwarzschild", config),
     )
     payload = {
         "tolerances": _effective_tols(config, ctx["tols"], {}),
@@ -480,7 +516,7 @@ def cmd_example1(config: dict, ctx: dict) -> tuple[int, dict, str]:
         _params_from(config),
         float(config["r0"]),
         float(config["zeta1"]),
-        s_max=float(config.get("s_max", 12.0)),
+        s_max=_s_max("example1", config),
         fiber=_fiber_from(config),
     )
     verdict, residuals, payload = _certify(domain, tols, ctx)
@@ -501,7 +537,7 @@ def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict, str]:
     domain = build_quotient_domain(
         _params_from(config),
         float(config["r0"]),
-        s_max=float(config.get("s_max", 12.0)),
+        s_max=_s_max("example2", config),
         fiber=_fiber_from(config),
     )
     verdict, residuals, payload = _certify(domain, tols, ctx)
@@ -558,6 +594,22 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
     return {"tag": tag, "exit": code, "error": message}
 
 
+def _check_tags(command: str, tasks: list[dict]) -> None:
+    """Reject a sweep whose entries would write the same files.
+
+    A tag that is not a string fails its own entry's validation instead.
+    """
+    seen = {f"{command}_sweep"}
+    for task in tasks:
+        tag = task["tag"]
+        if not isinstance(tag, str):
+            continue
+        if tag in seen:
+            what = "the sweep summary" if tag == f"{command}_sweep" else "another entry"
+            raise ConfigError(f"sweep tag {tag!r} is also the tag of {what}")
+        seen.add(tag)
+
+
 def _run_sweep(command: str, config: dict, ctx: dict) -> int:
     records = config["sweep"]
     if not isinstance(records, list) or not records:
@@ -574,10 +626,18 @@ def _run_sweep(command: str, config: dict, ctx: dict) -> int:
         task.update(rec)
         task.setdefault("tag", f"{command}_{i:03d}")
         tasks.append(task)
+    _check_tags(command, tasks)
     if not workers:
         workers = min(len(tasks), os.cpu_count() or 1, 8)
     if workers == 1 or len(tasks) == 1:
-        results = [_run_task(command, task, ctx) for task in tasks]
+        # In process: the profiles of each run of entries are integrated as
+        # one batch, and held until their entries use them.
+        results = []
+        for lo in range(0, len(tasks), _BATCH_ENTRIES):
+            chunk = tasks[lo : lo + _BATCH_ENTRIES]
+            requests = [_profile_request(command, task) for task in chunk]
+            with prefetched([r for r in requests if r is not None]):
+                results += [_run_task(command, task, ctx) for task in chunk]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, repeat(command), tasks, repeat(ctx)))

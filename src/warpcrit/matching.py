@@ -421,13 +421,16 @@ def lhopital_product(profile: Profile, s: float) -> float:
 
 @dataclass
 class _CumulativeTable:
-    profile: Profile
+    """A profile's matching table.  Its methods take the profile: the profile
+    caches the table, and a reference back would make a cycle that keeps
+    both alive until the garbage collector's next full pass."""
+
     xs: np.ndarray  # panel nodes, ascending, positive
     prefix: np.ndarray  # prefix integrals; prefix[k] = int_{xs[0]}^{xs[k]}
     theta_offset: float  # int_{xs[0]}^{theta}
     limit: float  # supremum of the valid x range (s1 for R > 0, s_max else)
 
-    def value(self, x: float) -> float:
+    def value(self, profile: Profile, x: float) -> float:
         """G(x) = int_theta^x r/(r')^2."""
         x = float(x)
         if x < float(self.xs[0]):
@@ -435,35 +438,35 @@ class _CumulativeTable:
                 f"matching query s = {x:.6g} too close to the anchor "
                 "(the cumulative integrand is singular at s = 0)"
             )
-        if x >= self.limit - _ROOT_PAD and self.limit < self.profile.s_max:
+        if x >= self.limit - _ROOT_PAD and self.limit < profile.s_max:
             raise OutOfRange(
                 f"matching query s = {x:.6g} reaches the critical point at "
                 f"s = {self.limit:.6g}"
             )
         if x > float(self.xs[-1]):
-            extra = _quad_between(self.profile, float(self.xs[-1]), x)
+            extra = _quad_between(profile, float(self.xs[-1]), x)
             return float(self.prefix[-1]) + extra - self.theta_offset
         k = int(np.searchsorted(self.xs, x, side="right") - 1)
         k = min(max(k, 0), self.xs.size - 2)
         lo = float(self.xs[k])
         part = 0.0
         if x > lo:
-            part = float(np.sum(_base_panels(self.profile, np.array([lo, x], dtype=_LD))))
+            part = float(np.sum(_base_panels(profile, np.array([lo, x], dtype=_LD))))
         return float(self.prefix[k]) + part - self.theta_offset
 
-    def solve(self, target: float) -> float:
+    def solve(self, profile: Profile, target: float) -> float:
         """Solve G(x) = target; G is strictly increasing."""
         lo = float(self.xs[0])
-        g_lo = self.value(lo)
+        g_lo = self.value(profile, lo)
         if target < g_lo:
             raise OutOfRange(
                 "matching target below the reachable range; the paired root "
                 "would collide with the anchor"
             )
         hi = float(self.xs[-1])
-        g_hi = self.value(hi)
+        g_hi = self.value(profile, hi)
         if g_hi < target:
-            if self.limit >= self.profile.s_max:
+            if self.limit >= profile.s_max:
                 raise OutOfRange(
                     "matched root lies beyond the integration window; "
                     "increase s_max"
@@ -473,14 +476,14 @@ class _CumulativeTable:
             for _ in range(60):
                 gap *= 0.5
                 hi = self.limit - gap
-                g_hi = self.value(hi)
+                g_hi = self.value(profile, hi)
                 if g_hi >= target:
                     break
             else:
                 raise OutOfRange(
                     "matching target unreachable below the critical point"
                 )
-        return bisect_root(lambda x: self.value(x) - target, lo, hi, tol=_ZETA_TOL,
+        return bisect_root(lambda x: self.value(profile, x) - target, lo, hi, tol=_ZETA_TOL,
                            f_lo=g_lo - target, f_hi=g_hi - target)
 
 
@@ -512,7 +515,6 @@ def _get_table(profile: Profile) -> _CumulativeTable:
     prefix = np.concatenate([[0.0], np.cumsum(panels, dtype=_LD)]).astype(float)
     i_theta = int(np.argmin(np.abs(xs - _LD(profile.theta))))
     table = _CumulativeTable(
-        profile=profile,
         xs=np.asarray(xs, dtype=float),
         prefix=prefix,
         theta_offset=float(prefix[i_theta]),
@@ -524,7 +526,7 @@ def _get_table(profile: Profile) -> _CumulativeTable:
 
 def cumulative_integral(profile: Profile, x: float) -> float:
     """G(x) = int_theta^x r/(r')^2 on the positive axis (table-backed)."""
-    return _get_table(profile).value(float(x))
+    return _get_table(profile).value(profile, float(x))
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +542,7 @@ def c_threshold(profile: Profile) -> float:
             "(the improper integral diverges otherwise)"
         )
     table = _get_table(profile)
-    g_total = table.value(float(table.xs[-1]))
+    g_total = table.value(profile, float(table.xs[-1]))
     g_total += improper_integral(profile, float(table.xs[-1]))
     return g_total / (profile.params.n - 1)
 
@@ -553,7 +555,7 @@ def exclusion_zeta(profile: Profile) -> float:
     """
     c0 = c_threshold(profile)
     table = _get_table(profile)
-    return table.solve(-(profile.params.n - 1) * c0)
+    return table.solve(profile, -(profile.params.n - 1) * c0)
 
 
 def classify_roots(profile: Profile) -> RootClassification:
@@ -661,7 +663,7 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
             f"outer root {zeta1:.6g} beyond the integration window; increase s_max"
         )
 
-    g1 = table.value(zeta1)
+    g1 = table.value(profile, zeta1)
     if params.R < 0.0:
         c0 = c_threshold(profile)
         if g1 <= -(params.n - 1) * c0:
@@ -673,7 +675,7 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
             )
     C = g1 / (params.n - 1)
 
-    y = table.solve(-g1)
+    y = table.solve(profile, -g1)
     zeta2 = -y
 
     # Cross-check: direct root of the completed potential near zeta2.
@@ -688,7 +690,7 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
         )
     zeta2_root = min(cands, key=lambda t: abs(t - zeta2))
 
-    g_left = -table.value(y)  # int_{-theta}^{zeta2} by evenness
+    g_left = -table.value(profile, y)  # int_{-theta}^{zeta2} by evenness
     return MatchResult(
         zeta1=zeta1,
         zeta2=zeta2,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -46,7 +47,7 @@ from .errors import (
     OutOfRange,
     RangeError,
 )
-from .rk45 import DenseSolution, integrate
+from .rk45 import MIN_BATCH, DenseSolution, integrate, integrate_batch
 from .support import bisect_root
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "ProfileValues",
     "RootSet",
     "integrate_profile",
+    "prefetched",
     "solve_potential",
     "space_form_profile",
     "solve_radius_for_kappa0",
@@ -96,7 +98,8 @@ class _Fields:
 
     This is the one definition of each formula.  The arguments are
     longdouble scalars (the integrator's right-hand side) or longdouble
-    arrays (the public helpers below).
+    arrays (the public helpers below, and the batch right-hand side of
+    ``stack``-ed fields).
     """
 
     __slots__ = ("n", "a", "c2", "a_jerk", "a_pot", "a_drive", "inv", "a_cons")
@@ -110,6 +113,15 @@ class _Fields:
         self.a_drive = _LD(n * (n - 1) * a)
         self.inv = _LD(1) / _LD(n - 1)
         self.a_cons = _LD(2.0 * a) / _LD(n - 2)
+
+    @classmethod
+    def stack(cls, members: list["_Fields"]) -> "_Fields":
+        """The fields of several members at once: each coefficient, n
+        included, becomes a longdouble array with one entry per member."""
+        out = cls.__new__(cls)
+        for name in cls.__slots__:
+            setattr(out, name, np.array([getattr(m, name) for m in members], dtype=_LD))
+        return out
 
     def warp(self, r):  # r''
         return self.a * r ** (1 - self.n) - self.c2 * r
@@ -384,10 +396,10 @@ class Profile:
         return self._theta
 
 
-def _rhs_functions(params: OdeParams):
+def _rhs_functions(f: _Fields):
     """First- and second-derivative fields for the joint state
-    y = (r, r', lam0, lam0'), on longdouble scalars."""
-    f = params._fields
+    y = (r, r', lam0, lam0'), on longdouble scalars or, for stacked fields,
+    on rows of one value per member."""
     warp, warp_jerk = f.warp, f.warp_jerk
     potential, potential_jerk = f.potential, f.potential_jerk
 
@@ -417,23 +429,11 @@ def _mirror_grid(base: DenseSolution):
     return grid, even(0), odd(1), even(2), odd(3)
 
 
-def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
-    """Integrate the radial ODE from the anchor r(0) = r0, r'(0) = 0.
+def _anchor_state(params: OdeParams, r0: float, s_max: float):
+    """The checks integrate_profile makes before integrating.
 
-    Returns a partial profile (no potential attached) on the mirrored window
-    [-s_max, s_max].  The even potential branch lam0 is integrated jointly so
-    that completion via solve_potential is purely algebraic.
-
-    Raises
-    ------
-    RangeError
-        If r0 or s_max is not positive, r0^(1-n) overflows longdouble, or
-        the anchor's time scale sqrt(r0/|r''(0)|) is below the smallest
-        integrator step.
-    NonPositiveRadius
-        If the warp factor collapses toward zero inside the window.
-    StepFailure
-        If the integration cannot meet its tolerance within its step budget.
+    Returns the initial state (r, r', lam0, lam0') at the anchor, or None
+    when the anchor is the constant solution.
     """
     if not (math.isfinite(r0) and r0 > 0.0):
         raise RangeError(f"anchor radius must be positive, got {r0!r}")
@@ -449,6 +449,96 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
     f = params._fields
     scale = abs(f.a) * r0_pow + abs(f.c2) * r0 + 1
     if abs(racc0) < _CONSTANT_TOL * scale:
+        return None
+
+    # r'' at the anchor sets the time scale of the first steps; below the
+    # integrator's smallest step no step can resolve it.
+    t_scale = np.sqrt(_LD(r0) / abs(racc0))
+    if t_scale < _STEP_FLOOR:
+        raise RangeError(
+            f"anchor radius r0 = {r0!r} is out of range: its time scale "
+            f"sqrt(r0/|r''(0)|) = {float(t_scale):.3g} is below the "
+            f"integrator's smallest step {_STEP_FLOOR:.3g}"
+        )
+    lam00 = _LD(r0) / (_LD(params.n - 1) * racc0)
+    return np.array([r0, 0.0, lam00, 0.0], dtype=_LD)
+
+
+def _batch_members(keys: list) -> tuple[list, Callable]:
+    """rk45.integrate_batch's members and batch system for the profiles
+    ``keys``, each ``(params, r0, s_max)`` past integrate_profile's checks."""
+    fields = [params._fields for params, _, _ in keys]
+    floors = np.array([_RADIUS_FLOOR * r0 for _, r0, _ in keys])
+
+    def batch(idx):
+        floor = floors[idx]
+        fun, d2fun = _rhs_functions(_Fields.stack([fields[i] for i in idx]))
+        return fun, d2fun, lambda y: y[0] <= floor
+
+    members = [
+        (*_rhs_functions(f), lambda y, floor=floor: y[0] <= floor, _anchor_state(*key),
+         (0.0, float(key[2])))
+        for f, floor, key in zip(fields, floors.tolist(), keys)
+    ]
+    return members, batch
+
+
+def _integrates(key) -> bool:
+    """Whether integrate_profile(*key) passes its checks and integrates."""
+    try:
+        return _anchor_state(*key) is not None
+    except RangeError:
+        return False
+
+
+# Dense bases integrated ahead of their integrate_profile call, keyed by
+# (params, r0, s_max); see prefetched.
+_PREFETCH: dict = {}
+
+
+@contextmanager
+def prefetched(requests):
+    """Integrate the profiles of ``requests`` as one lockstep batch.
+
+    Each request is ``(params, r0, s_max)``.  Every request that passes
+    integrate_profile's checks and is not the constant solution joins one
+    rk45.integrate_batch call, if there are at least ``MIN_BATCH`` of them;
+    while the context is open, integrate_profile takes a matching stored
+    base (once) instead of integrating.  A member that failed in the batch
+    is not stored, so its own call raises its own error.  The store is
+    emptied on exit.
+    """
+    try:
+        keys = [key for key in dict.fromkeys(requests) if _integrates(key)]
+        if len(keys) >= MIN_BATCH:
+            bases = integrate_batch(*_batch_members(keys), **_TOLS)
+            _PREFETCH.update((k, b) for k, b in zip(keys, bases) if b is not None)
+        yield
+    finally:
+        _PREFETCH.clear()
+
+
+def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
+    """Integrate the radial ODE from the anchor r(0) = r0, r'(0) = 0.
+
+    Returns a partial profile (no potential attached) on the mirrored window
+    [-s_max, s_max].  The even potential branch lam0 is integrated jointly so
+    that completion via solve_potential is purely algebraic.  Inside
+    ``prefetched``, a base integrated there for the same arguments is used.
+
+    Raises
+    ------
+    RangeError
+        If r0 or s_max is not positive, r0^(1-n) overflows longdouble, or
+        the anchor's time scale sqrt(r0/|r''(0)|) is below the smallest
+        integrator step.
+    NonPositiveRadius
+        If the warp factor collapses toward zero inside the window.
+    StepFailure
+        If the integration cannot meet its tolerance within its step budget.
+    """
+    y0 = _anchor_state(params, r0, s_max)
+    if y0 is None:
         # Constant solution: r identically r0.  Admits no potential.
         grid = np.linspace(_LD(-s_max), _LD(s_max), 801)
         r = np.full(grid.shape, _LD(r0))
@@ -469,33 +559,24 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
             diagnostics={"conservation_residual": 0.0},
         )
 
-    # r'' at the anchor sets the time scale of the first steps; below the
-    # integrator's smallest step no step can resolve it.
-    t_scale = np.sqrt(_LD(r0) / abs(racc0))
-    if t_scale < _STEP_FLOOR:
-        raise RangeError(
-            f"anchor radius r0 = {r0!r} is out of range: its time scale "
-            f"sqrt(r0/|r''(0)|) = {float(t_scale):.3g} is below the "
-            f"integrator's smallest step {_STEP_FLOOR:.3g}"
+    base = _PREFETCH.pop((params, r0, s_max), None)
+    if base is None:
+        fun, d2fun = _rhs_functions(params._fields)
+        floor = _RADIUS_FLOOR * r0
+        base, hit = integrate(
+            fun, d2fun, y0, (0.0, float(s_max)), guard=lambda y: y[0] <= floor, **_TOLS
         )
-    lam00 = _LD(r0) / (_LD(params.n - 1) * racc0)
-    y0 = np.array([r0, 0.0, lam00, 0.0], dtype=_LD)
-    fun, d2fun = _rhs_functions(params)
-    floor = _RADIUS_FLOOR * r0
-    base, hit = integrate(
-        fun, d2fun, y0, (0.0, float(s_max)), guard=lambda y: y[0] <= floor, **_TOLS
-    )
-    if hit:
-        raise NonPositiveRadius(
-            f"warp factor fell below {floor:.3g} near s = {float(base.t_end):.6g}; "
-            "the profile leaves the positive-radius regime inside the window"
-        )
+        if hit:
+            raise NonPositiveRadius(
+                f"warp factor fell below {floor:.3g} near s = {float(base.t_end):.6g}; "
+                "the profile leaves the positive-radius regime inside the window"
+            )
 
     grid, r, rp, lam0, lam0p = _mirror_grid(base)
     kappa0_ld = conserved_quantity(params, _LD(r0), _LD(0.0))
     cons = conserved_quantity(params, r, rp) - kappa0_ld
     cons_rel = float(np.max(np.abs(cons)) / max(abs(float(kappa0_ld)), 1.0))
-    prof = Profile(
+    return Profile(
         params=params,
         r0=float(r0),
         s_max=float(s_max),
@@ -515,7 +596,6 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
         _lam0=lam0,
         _lam0p=lam0p,
     )
-    return prof
 
 
 def solve_potential(profile: Profile, C: float) -> Profile:
@@ -822,7 +902,7 @@ def extend_base(profile: Profile, *, r_target: float) -> DenseSolution:
         ext = DenseSolution(base.ts[-1:], base.ys[-1:], base.dys[-1:], base.d2ys[-1:])
     if float(ext.ys[-1, 0]) >= r_target:
         return ext
-    fun, d2fun = _rhs_functions(profile.params)
+    fun, d2fun = _rhs_functions(profile.params._fields)
 
     # March in fixed spans until the radius target is met.
     span = max(2.0, 0.5 * profile.s_max)

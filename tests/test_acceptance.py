@@ -131,7 +131,7 @@ def test_criterion_3_einstein_closed_forms():
     for kappa in (0, 1, -1):
         ref = space_form_profile(kappa, 1.0, 3.2 if kappa != 1 else 3.1)
         params = ref.params
-        fun, d2fun = _rhs_functions(params)
+        fun, d2fun = _rhs_functions(params._fields)
         v = ref.sample(1.0)
         y0 = np.array(
             [v.r[0], v.rp[0], v.lam[0], v.lamp[0]], dtype=np.longdouble

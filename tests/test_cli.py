@@ -23,7 +23,7 @@ from warpcrit import (
     verify_critical,
     write_profile_csv,
 )
-from warpcrit import cli
+from warpcrit import cli, profiles
 from warpcrit.cli import _resample, main
 from warpcrit.profiles import find_roots
 from warpcrit.serialize import _fmt, dump_json, write_csv
@@ -725,3 +725,141 @@ def test_console_entry_point(tmp_path):
 def test_no_command_exits_2():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+# ----------------------------------------------------------------------
+# in-process sweeps: tags, and the batch integration
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entries, tag",
+    [
+        ([{"tag": "x"}, {"tag": "x"}], "x"),
+        ([{"tag": "example1_001"}, {}], "example1_001"),
+        ([{}, {"tag": "example1_sweep"}], "example1_sweep"),
+    ],
+    ids=["repeated", "default", "summary"],
+)
+def test_sweep_rejects_colliding_tags(tmp_path, capsys, entries, tag):
+    cfg = _write_config(
+        tmp_path / "sweep.json",
+        dict(_SMALL_CONFIGS["example1"], workers=1, sweep=entries),
+    )
+    out_dir = tmp_path / "out"
+    assert main(["example1", "--config", cfg, "--out", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and repr(tag) in err
+    assert list(out_dir.iterdir()) == [], "no entry may run"
+
+
+# (command, base config, entries): every in-process sweep below batches its
+# profiles, and some entries fail: a = 0 exits 2, as do r0 < 0 and a zeta1
+# beyond the window; a collapsing warp factor (a < 0) exits 3.  A constant
+# solution is not batched.
+_SWEEPS = [
+    ("construct", {"n": 3, "a": 1.0, "s_max": 2.0, "C": 0.25}, [
+        {"R": -6.0, "r0": 1.0}, {"R": 0.0, "r0": 1.0, "n": 4}, {"R": 6.0, "r0": 0.8},
+        {"R": 6.0, "r0": 1.0}, {"R": 6.0, "a": -1.0, "r0": 1.0}, {"R": 0.0, "r0": -1.0},
+    ]),
+    ("example1", {"n": 3, "a": 1.0, "s_max": 3.0, "zeta1": 1.5}, [
+        {"R": 0.0, "r0": 1.0}, {"R": -6.0, "r0": 1.0, "zeta1": 1.0},
+        {"R": 6.0, "r0": 0.8, "zeta1": 0.6}, {"R": 0.0, "r0": 1.0, "n": 4},
+        {"R": 0.0, "r0": 1.0, "a": 0.0},
+    ]),
+    ("example2", {"n": 3, "R": 6.0, "a": 1.0, "s_max": 3.0}, [
+        {"r0": 0.8}, {"r0": 0.8, "n": 4}, {"r0": 1.0, "a": 2.0}, {"r0": 0.8, "a": 0.0},
+    ]),
+    ("match", {"n": 3, "a": 1.0, "s_max": 3.0}, [
+        {"R": 0.0, "r0": 1.0, "zeta1": 1.5}, {"R": -6.0, "r0": 1.0, "zeta1": 1.0},
+        {"R": 0.0, "r0": 1.0, "zeta1": 1.2, "n": 4, "a": 2.0, "write_profile": True},
+        {"R": 0.0, "r0": 1.0, "zeta1": 5.0},
+    ]),
+    ("spectrum", {"R": 6.0, "a": 1.0, "C": 0.1, "s_max": 4.0, "signs": True, "num": 64}, [
+        {"n": 3, "r0": 0.8}, {"n": 3, "r0": 1.3}, {"n": 4, "r0": 0.8},
+        {"n": 3, "r0": 0.8, "a": -1.0, "signs": False, "interval": [0.0, 1.0]},
+    ]),
+]
+
+
+def _files(directory) -> dict:
+    return {p.name: _strip_timestamp(p.read_text()) for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("command, base, entries", _SWEEPS, ids=[s[0] for s in _SWEEPS])
+def test_in_process_sweep_equals_single_runs(tmp_path, capsys, monkeypatch, command, base, entries):
+    batches = []
+    integrate_batch = profiles.integrate_batch
+    monkeypatch.setattr(
+        profiles, "integrate_batch", lambda *a, **k: batches.append(None) or integrate_batch(*a, **k)
+    )
+    single = tmp_path / "single"
+    codes, outs, errs = [], [], []
+    for i, entry in enumerate(entries):
+        cfg = _write_config(tmp_path / "c.json", dict(base, **entry, tag=f"{command}_{i:03d}"))
+        codes.append(main([command, "--config", cfg, "--out", str(single)]))
+        out, err = capsys.readouterr()
+        outs.append(out)
+        errs.append(err)
+    assert not batches
+    assert set(codes) - {0} and 0 in codes, "the sweep must mix passing and failing entries"
+
+    swept = tmp_path / "sweep"
+    cfg = _write_config(tmp_path / "s.json", dict(base, workers=1, sweep=entries))
+    assert main([command, "--config", cfg, "--out", str(swept)]) == max(codes)
+    out, err = capsys.readouterr()
+    assert len(batches) == 1
+    assert profiles._PREFETCH == {}
+    summary = _read_json(swept / f"{command}_sweep.json")
+    assert [r["exit"] for r in summary["sweep"]] == codes
+    (swept / f"{command}_sweep.json").unlink()
+    assert _files(swept) == _files(single)
+    failures = sum(code != 0 for code in codes)
+    assert out == "".join(outs) + f"sweep: {len(entries)} tasks, {failures} failures\n"
+    assert err == "".join(errs)
+
+
+def test_prefetch_is_cleared_after_an_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._DISPATCH, "construct", _broken_construct)
+    cfg = _write_config(tmp_path / "s.json", dict(_SWEEPS[0][1], workers=1, sweep=_SWEEPS[0][2]))
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert profiles._PREFETCH == {}
+
+    # An exception that escapes the sweep itself still empties the store.
+    def escape(command, config, ctx):
+        assert profiles._PREFETCH, "the batch ran before the first entry"
+        raise RuntimeError("escaped")
+
+    monkeypatch.setattr(cli, "_run_task", escape)
+    with pytest.raises(RuntimeError, match="escaped"):
+        main(["construct", "--config", cfg, "--out", str(tmp_path)])
+    assert profiles._PREFETCH == {}
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_small_sweep_integrates_on_the_scalar_loop(tmp_path, monkeypatch, count):
+    calls = []
+    integrate = profiles.integrate
+    monkeypatch.setattr(profiles, "integrate", lambda *a, **k: calls.append(None) or integrate(*a, **k))
+    base, entries = _SWEEPS[0][1], _SWEEPS[0][2][:count]
+    cfg = _write_config(tmp_path / "s.json", dict(base, workers=1, sweep=entries))
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == count
+
+
+def test_long_sweep_batches_in_runs_of_entries(tmp_path, monkeypatch):
+    # Six entries in runs of three: two batches, and the same files as one.
+    batches = []
+    integrate_batch = profiles.integrate_batch
+    monkeypatch.setattr(
+        profiles, "integrate_batch", lambda *a, **k: batches.append(a[0]) or integrate_batch(*a, **k)
+    )
+    entries = [{"n": n, "R": R, "r0": 0.8} for n in (3, 4) for R in (-6.0, 0.0, 6.0)]
+    cfg = _write_config(tmp_path / "s.json", {"a": 1.0, "s_max": 2.0, "workers": 1, "sweep": entries})
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+    assert [len(members) for members in batches] == [6]
+    monkeypatch.setattr(cli, "_BATCH_ENTRIES", 3)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    assert [len(members) for members in batches] == [6, 3, 3]
+    assert _files(tmp_path / "runs") == _files(tmp_path / "one")

@@ -5,7 +5,9 @@ Closed-form oracles below come from the a = 0 hyperbolic profile
 int_s^inf cosh/sinh^2 = 1/sinh(s).
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +236,23 @@ def test_matching_fixed_point(name, request):
     print(f"{name}: theta={theta:.12g}, zeta2={res.zeta2:.12g}, C={res.C:.3e}")
     assert res.zeta2 == pytest.approx(-theta, abs=1e-10), "fixed point violated"
     assert abs(res.C) < 1e-10
+
+
+def test_matched_profile_is_freed_by_reference_counting():
+    # The cached matching table holds no reference back to its profile, so a
+    # matched profile (and its dense base) goes as soon as the last name
+    # does, not at the garbage collector's next full pass.
+    prof = integrate_profile(OdeParams(n=3, R=-6.0, a=1.0), r0=1.0, s_max=4.0)
+    match_boundary(prof, 1.5 * prof.theta)
+    exclusion_zeta(prof)
+    assert prof._gtable is not None
+    ref = weakref.ref(prof)
+    gc.disable()
+    try:
+        del prof
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["flat_profile", "neg_profile", "pos_profile"])

@@ -1,5 +1,5 @@
-"""The longdouble Dormand-Prince core: step control, guard, work budget and
-dense output."""
+"""The longdouble Dormand-Prince core: step control, guard, work budget,
+dense output, and the lockstep batch against the scalar loop."""
 
 import math
 
@@ -15,6 +15,7 @@ from warpcrit import (
     rk45,
     warp_accel,
 )
+from warpcrit import profiles
 from warpcrit.profiles import _rhs_functions
 
 # r'' = -r: n = 3, R = 6 gives c2 = 1, and a = 0 drops the r^(1-n) term.
@@ -85,7 +86,7 @@ def test_matches_array_reference_bit_for_bit():
     params = OdeParams(n=4, R=6.0, a=1.0)
     y0 = np.array([0.8 * critical_radius(params), 0.0, 0.0, 0.0], dtype=np.longdouble)
     y0[2] = y0[0] / (3 * warp_accel(params, y0[0]))
-    fun, d2fun = _rhs_functions(params)
+    fun, d2fun = _rhs_functions(params._fields)
 
     def array_fun(y):
         r, rp, lam, lamp = y
@@ -107,14 +108,14 @@ def test_matches_array_reference_bit_for_bit():
 
 
 def test_span_must_increase():
-    fun, d2fun = _rhs_functions(_OSCILLATOR)
+    fun, d2fun = _rhs_functions(_OSCILLATOR._fields)
     for span in ((1.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError):
             rk45.integrate(fun, d2fun, _Y0, span)
 
 
 def test_guard_stops_early():
-    fun, d2fun = _rhs_functions(_OSCILLATOR)
+    fun, d2fun = _rhs_functions(_OSCILLATOR._fields)
     sol, hit = rk45.integrate(fun, d2fun, _Y0, (0.0, 3.0), guard=lambda y: y[0] <= 0.5)
     assert hit
     # r = cos s first reaches 0.5 at s = pi/3; the guard fires on that step.
@@ -134,13 +135,13 @@ def test_dense_solution_reproduces_nodes():
 def test_step_budget_exhausted(monkeypatch):
     # 40 steps of max_step would do, but the tolerance needs far more.
     monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 50)
-    fun, d2fun = _rhs_functions(_OSCILLATOR)
+    fun, d2fun = _rhs_functions(_OSCILLATOR._fields)
     with pytest.raises(StepFailure, match="budget"):
         rk45.integrate(fun, d2fun, _Y0, (0.0, 4.0))
 
 
 def test_window_beyond_budget_fails_at_once():
-    fun, d2fun = _rhs_functions(_OSCILLATOR)
+    fun, d2fun = _rhs_functions(_OSCILLATOR._fields)
     with pytest.raises(StepFailure, match="needs more than"):
         rk45.integrate(fun, d2fun, _Y0, (0.0, 1e6))
 
@@ -161,7 +162,7 @@ def test_hopeless_window_fails_at_a_tenth_of_the_budget(monkeypatch):
     # need about 5,200, over a budget of 1,000.  After 100 attempts the pace
     # shows it, and the call stops there instead of using up the budget.
     monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 1000)
-    fun, d2fun = _rhs_functions(_OSCILLATOR)
+    fun, d2fun = _rhs_functions(_OSCILLATOR._fields)
     counted, calls = _counting(fun)
     with pytest.raises(StepFailure, match="budget"):
         rk45.integrate(counted, d2fun, _Y0, (0.0, 40.0))
@@ -191,3 +192,100 @@ def test_budget_caps_a_window_that_slows_down(monkeypatch):
     with pytest.raises(StepFailure, match="budget of 1000 attempts exhausted"):
         rk45.integrate(counted, d2fun, (0.0, 1.0, 0.0), (0.0, 6.0), rtol=1e-8, atol=1e-10)
     assert len(calls) == 1 + 6 * 1000
+
+
+# ----------------------------------------------------------------------
+# The lockstep batch against the scalar loop
+# ----------------------------------------------------------------------
+
+
+def _scalar(member):
+    """What ``integrate`` gives for one member: its solution, or None where it
+    raises StepFailure or reports a guard hit."""
+    fun, d2fun, guard, y0, span = member
+    try:
+        sol, hit = rk45.integrate(fun, d2fun, y0, span, guard=guard, **profiles._TOLS)
+    except StepFailure:
+        return None
+    return None if hit else sol
+
+
+def _assert_same(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        for name in ("ts", "ys", "dys", "d2ys"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).flags.c_contiguous, name
+        assert got.nfev == want.nfev
+
+
+def test_batch_matches_scalar_bit_for_bit():
+    # Nine members over n and R, with windows of nine lengths, so that they
+    # leave the batch one by one and the last two finish on the scalar loop.
+    cases = [
+        (OdeParams(n=n, R=R, a=1.0), 0.8, 1.0 + 0.25 * k)
+        for k, (n, R) in enumerate((n, R) for n in (3, 4, 5) for R in (-6.0, 0.0, 6.0))
+    ]
+    members, batch = profiles._batch_members(cases)
+    got = rk45.integrate_batch(members, batch, **profiles._TOLS)
+    for member, sol in zip(members, got):
+        _assert_same(sol, _scalar(member))
+    assert all(sol is not None for sol in got)
+    assert _rejected(got[-1]) > 0, "the comparison must cover rejected attempts"
+
+
+def test_batch_drops_guard_hits_and_failures(monkeypatch):
+    # Member 1 collapses (a < 0) and hits its radius guard; member 3 would
+    # need more than the budget over its long window and fails at the
+    # budget's checkpoint.  Both leave while four members march; the others
+    # still match.
+    monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 4000)
+    cases = [
+        (OdeParams(n=3, R=-6.0, a=1.0), 1.0, 2.0),
+        (OdeParams(n=3, R=6.0, a=-8.0), 1.0, 3.0),
+        (OdeParams(n=4, R=6.0, a=1.0), 0.8, 2.5),
+        (OdeParams(n=5, R=6.0, a=2.0), 0.5, 40.0),
+        (OdeParams(n=3, R=0.0, a=1.0), 1.0, 3.0),
+    ]
+    members, batch = profiles._batch_members(cases)
+    fun, d2fun, guard, y0, span = members[3]
+    with pytest.raises(StepFailure, match="budget"):
+        rk45.integrate(fun, d2fun, y0, span, guard=guard, **profiles._TOLS)
+    got = rk45.integrate_batch(members, batch, **profiles._TOLS)
+    assert [sol is None for sol in got] == [False, True, False, True, False]
+    for member, sol in zip(members, got):
+        _assert_same(sol, _scalar(member))
+
+
+def test_batch_hands_survivors_to_the_scalar_loop(monkeypatch):
+    # Three members: once the shortest ends, the other two resume on _march.
+    resumed = []
+    march = rk45._march
+
+    def counted(fun, d2fun, guard, state, *tols):
+        resumed.append(state.attempts)
+        return march(fun, d2fun, guard, state, *tols)
+
+    monkeypatch.setattr(rk45, "_march", counted)
+    cases = [
+        (OdeParams(n=3, R=6.0, a=1.0), 0.8, 0.5),
+        (OdeParams(n=4, R=-6.0, a=1.0), 1.0, 2.0),
+        (OdeParams(n=3, R=0.0, a=2.0), 1.0, 3.0),
+    ]
+    members, batch = profiles._batch_members(cases)
+    got = rk45.integrate_batch(members, batch, **profiles._TOLS)
+    assert len(resumed) == 2 and resumed[0] == resumed[1] > 0
+    for member, sol in zip(members, got):
+        _assert_same(sol, _scalar(member))
+
+
+def test_small_batch_runs_on_the_scalar_loop():
+    cases = [(OdeParams(n=3, R=-6.0, a=1.0), 1.0, 1.0), (OdeParams(n=4, R=0.0, a=1.0), 1.0, 1.5)]
+    members, batch = profiles._batch_members(cases)
+
+    def no_batch(idx):
+        raise AssertionError("fewer than MIN_BATCH members must not batch")
+
+    got = rk45.integrate_batch(members, no_batch, **profiles._TOLS)
+    for member, sol in zip(members, got):
+        _assert_same(sol, _scalar(member))
