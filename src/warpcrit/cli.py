@@ -9,12 +9,14 @@ Subcommands
     example1       end-to-end two-boundary domain with verification
     example2       end-to-end reflection-quotient domain with verification
 
-A command validates, computes, writes its CSVs and returns (exit code,
-payload, summary line).  One runner, ``_run_task``, does the rest for a
-single run and for every entry of a ``"sweep": [...]`` config (fanned out
-over a process pool, or run in this process after the entries' profiles are
-integrated as one batch): it writes ``<tag>.json``, prints the summary line,
-and maps an exception to its exit code and one ``error:`` line on stderr.
+A command computes, writes its CSVs and returns (exit code, payload,
+summary line).  One runner, ``_run_task``, does the rest for a single run
+and for every entry of a ``"sweep": [...]`` config: it validates the config
+against the command's keys in ``_COMMANDS``, writes ``<tag>.json``, prints
+the summary line, and maps an exception to its exit code and one ``error:``
+line on stderr.  A sweep runs its entries in contiguous chunks, in this
+process or on a process pool; each chunk first integrates its entries'
+profiles as one batch.
 
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
 3 numerical failure or an unexpected internal error.
@@ -194,11 +196,8 @@ def _effective_tols(config: dict, overrides: dict, defaults: dict) -> dict:
 _PARAM_KEYS = {"n": _want_int, "R": _want_num, "a": _want_num}
 _COMMON_OPT = {"tolerances": _want_tols, "tag": _want_tag}
 
-# Commands whose first integration is the profile anchored at their own r0.
-_PROFILE_COMMANDS = ("construct", "match", "spectrum", "example1", "example2")
-
-# Most sweep entries whose profiles one batch integrates and holds at once:
-# a profile's dense base takes up to about 1 MB at s_max 12.
+# Most entries in one sweep chunk, whose profiles one batch integrates and
+# holds at once: a profile's dense base takes up to about 1 MB at s_max 12.
 _BATCH_ENTRIES = 64
 
 
@@ -210,14 +209,13 @@ def _s_max(command: str, config: dict) -> float:
 
 def _profile_request(command: str, config: dict):
     """``(params, r0, s_max)`` of the profile a sweep entry integrates first,
-    or None when the entry has none or its keys would not pass validation."""
-    if command not in _PROFILE_COMMANDS:
+    or None when the entry has none or its config fails validation.  The
+    commands with an anchor ``r0`` integrate the profile anchored there first."""
+    _, required, optional = _COMMANDS[command]
+    if "r0" not in required:
         return None
     try:
-        for key, check in dict(_PARAM_KEYS, r0=_want_num).items():
-            check(key, config.get(key))
-        if "s_max" in config:
-            _want_num("s_max", config["s_max"])
+        _validate(config, required, optional)
         return _params_from(config), float(config["r0"]), _s_max(command, config)
     except InputError:
         return None
@@ -267,16 +265,6 @@ def _roots_record(profile: Profile) -> dict:
 
 
 def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _validate(
-        config,
-        dict(_PARAM_KEYS, r0=_want_num),
-        dict(
-            _COMMON_OPT,
-            C=_want_num,
-            s_max=_want_num,
-            grid_step=_want_num,
-        ),
-    )
     params = _params_from(config)
     prof = integrate_profile(params, float(config["r0"]), _s_max("construct", config))
     roots = None
@@ -342,16 +330,6 @@ def _run_verification(profile: Profile, fiber, interval, tols: dict) -> tuple[st
 
 
 def cmd_verify(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _validate(
-        config,
-        dict(_PARAM_KEYS, profile_csv=_want_str),
-        dict(
-            _COMMON_OPT,
-            kappa0=_want_num,
-            fiber_dim=_want_int,
-            interval=_want_interval,
-        ),
-    )
     params = _params_from(config)
     tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     profile = profile_from_arrays(params, read_profile_csv(config["profile_csv"]))
@@ -387,11 +365,6 @@ def _fiber_from(config: dict):
 
 
 def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _validate(
-        config,
-        dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
-        dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber, write_profile=_want_bool),
-    )
     domain = build_two_boundary_domain(
         _params_from(config),
         float(config["r0"]),
@@ -409,19 +382,6 @@ def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
 
 
 def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _validate(
-        config,
-        dict(_PARAM_KEYS, r0=_want_num),
-        dict(
-            _COMMON_OPT,
-            C=_want_num,
-            s_max=_want_num,
-            interval=_want_interval,
-            num=_want_int,
-            signs=_want_bool,
-            eigenvector_csv=_want_bool,
-        ),
-    )
     params = _params_from(config)
     num = config.get("num", 512)
     payload = {
@@ -458,11 +418,6 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
 
 
 def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _validate(
-        config,
-        dict(_PARAM_KEYS),
-        dict(_COMMON_OPT, kappa0=_want_num, s_max=_want_num, zeta1=_want_num),
-    )
     chart = schwarzschild_form(
         _params_from(config),
         kappa0=float(config.get("kappa0", 1.0)),
@@ -506,11 +461,6 @@ def _certify(domain, tols: dict, ctx: dict) -> tuple[str, dict, dict]:
 
 
 def cmd_example1(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _validate(
-        config,
-        dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
-        dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
-    )
     tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     domain = build_two_boundary_domain(
         _params_from(config),
@@ -528,11 +478,6 @@ def cmd_example1(config: dict, ctx: dict) -> tuple[int, dict, str]:
 
 
 def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _validate(
-        config,
-        dict(_PARAM_KEYS, r0=_want_num),
-        dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
-    )
     tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     domain = build_quotient_domain(
         _params_from(config),
@@ -547,14 +492,48 @@ def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict, str]:
     )
 
 
-_DISPATCH = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "match": cmd_match,
-    "spectrum": cmd_spectrum,
-    "schwarzschild": cmd_schwarzschild,
-    "example1": cmd_example1,
-    "example2": cmd_example2,
+# Each command: (function, required config keys, optional config keys), the
+# keys mapped to their checks.  _run_task validates a config against its
+# command's keys before it calls the function.
+_COMMANDS = {
+    "construct": (
+        cmd_construct,
+        dict(_PARAM_KEYS, r0=_want_num),
+        dict(_COMMON_OPT, C=_want_num, s_max=_want_num, grid_step=_want_num),
+    ),
+    "verify": (
+        cmd_verify,
+        dict(_PARAM_KEYS, profile_csv=_want_str),
+        dict(_COMMON_OPT, kappa0=_want_num, fiber_dim=_want_int, interval=_want_interval),
+    ),
+    "match": (
+        cmd_match,
+        dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
+        dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber, write_profile=_want_bool),
+    ),
+    "spectrum": (
+        cmd_spectrum,
+        dict(_PARAM_KEYS, r0=_want_num),
+        dict(
+            _COMMON_OPT, C=_want_num, s_max=_want_num, interval=_want_interval,
+            num=_want_int, signs=_want_bool, eigenvector_csv=_want_bool,
+        ),
+    ),
+    "schwarzschild": (
+        cmd_schwarzschild,
+        dict(_PARAM_KEYS),
+        dict(_COMMON_OPT, kappa0=_want_num, s_max=_want_num, zeta1=_want_num),
+    ),
+    "example1": (
+        cmd_example1,
+        dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
+        dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
+    ),
+    "example2": (
+        cmd_example2,
+        dict(_PARAM_KEYS, r0=_want_num),
+        dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
+    ),
 }
 
 
@@ -574,13 +553,15 @@ def _exit_for(exc: WarpcritError) -> int:
 def _run_task(command: str, config: dict, ctx: dict) -> dict:
     """Run one command and return its sweep record, ``{"tag", "exit"[, "error"]}``.
 
-    Module-level, so that the sweep's process pool can pickle it.  Any
+    The config is validated against the command's keys first.  Any
     exception other than a toolkit error is an internal error: exit 3, and
     one line naming its class and innermost frame instead of a traceback.
     """
     tag = config.get("tag", "profile" if command == "construct" else command)
+    run, required, optional = _COMMANDS[command]
     try:
-        code, payload, line = _DISPATCH[command](config, dict(ctx, tag=tag))
+        _validate(config, required, optional)
+        code, payload, line = run(config, dict(ctx, tag=tag))
         write_envelope(os.path.join(ctx["out"], f"{tag}.json"), {"command": command, **payload})
         print(line)
         return {"tag": tag, "exit": code}
@@ -592,6 +573,18 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
         code, message = 3, f"internal error ({where}): {exc}"
     print(f"error: {message}", file=sys.stderr)
     return {"tag": tag, "exit": code, "error": message}
+
+
+def _run_chunk(command: str, tasks: list[dict], ctx: dict) -> list[dict]:
+    """Run a chunk of sweep entries in order and return their records.
+
+    The profiles the entries integrate first are integrated as one batch
+    and held until their entries use them.  Module-level, so that the
+    sweep's process pool can pickle it.
+    """
+    requests = [_profile_request(command, task) for task in tasks]
+    with prefetched([r for r in requests if r is not None]):
+        return [_run_task(command, task, ctx) for task in tasks]
 
 
 def _check_tags(command: str, tasks: list[dict]) -> None:
@@ -629,18 +622,14 @@ def _run_sweep(command: str, config: dict, ctx: dict) -> int:
     _check_tags(command, tasks)
     if not workers:
         workers = min(len(tasks), os.cpu_count() or 1, 8)
-    if workers == 1 or len(tasks) == 1:
-        # In process: the profiles of each run of entries are integrated as
-        # one batch, and held until their entries use them.
-        results = []
-        for lo in range(0, len(tasks), _BATCH_ENTRIES):
-            chunk = tasks[lo : lo + _BATCH_ENTRIES]
-            requests = [_profile_request(command, task) for task in chunk]
-            with prefetched([r for r in requests if r is not None]):
-                results += [_run_task(command, task, ctx) for task in chunk]
+    size = min(_BATCH_ENTRIES, math.ceil(len(tasks) / workers))
+    chunks = [tasks[lo : lo + size] for lo in range(0, len(tasks), size)]
+    if workers == 1 or len(chunks) == 1:
+        parts = [_run_chunk(command, chunk, ctx) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, repeat(command), tasks, repeat(ctx)))
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            parts = list(pool.map(_run_chunk, repeat(command), chunks, repeat(ctx)))
+    results = [record for part in parts for record in part]
     worst = max(r["exit"] for r in results)
     summary = {
         "command": command,
@@ -677,7 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct and verify warped-product critical metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
 

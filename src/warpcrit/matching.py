@@ -835,7 +835,9 @@ def build_quotient_domain(
         )
     complete = solve_potential(profile, 0.0)
     theta = complete.theta
-    domain = _certified_domain(
+    # C = 0 makes the potential exactly even (sample_base evaluates the even
+    # branch at |s|), so it descends to the quotient.
+    return _certified_domain(
         complete, -theta, theta, fiber, 1,
         quotient={
             "group": [["id", 0], ["alpha", 1]],
@@ -843,20 +845,6 @@ def build_quotient_domain(
             "free": True,
         },
     )
-    # Evenness of the potential on the symmetric interval: exact for C = 0.
-    xs = np.linspace(0.0, theta, 257)
-    gap = np.max(
-        np.abs(
-            np.asarray(complete.sample(xs).lam, dtype=float)
-            - np.asarray(complete.sample(-xs).lam, dtype=float)
-        )
-    )
-    if gap > _LAMBDA_ROOT_TOL:
-        raise VerificationError(
-            f"potential fails to be even on the symmetric interval (gap {gap:.3e}); "
-            "it cannot descend to the quotient"
-        )
-    return domain
 
 
 # ----------------------------------------------------------------------
@@ -914,20 +902,27 @@ class SchwarzschildChart:
 
 
 def _horizon_from_polynomial(params: OdeParams) -> float:
-    """Largest positive real root of W(r) r^(n-2) (n-2) as a polynomial."""
-    n = params.n
-    # (n-2) W(r) r^(n-2) = -(n-2) c2 r^n + (n-2) r^(n-2) - 2a
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = -(n - 2) * params.c2
-    coeffs[2] = n - 2
-    coeffs[n] = -2.0 * params.a
-    nz = np.nonzero(coeffs)[0]
-    roots = np.roots(coeffs[nz[0]:])
-    real = roots[np.abs(roots.imag) < 1e-9 * np.maximum(1.0, np.abs(roots.real))].real
-    pos = real[real > 0]
-    if pos.size == 0:
-        raise InvalidRegime("radial denominator has no positive root")
-    return float(np.max(pos))
+    """The positive root of (n-2) W(r) r^(n-2) as a polynomial in r.
+
+    For R <= 0 and a > 0 the polynomial -(n-2) c2 r^n + (n-2) r^(n-2) - 2a
+    has one sign change in its coefficients, so by Descartes' rule exactly
+    one positive root; it is -2a at r = 0 and increasing on r > 0.  The root
+    is bracketed by doubling from r = 1 and bisected to float resolution on
+    the longdouble polynomial.
+    """
+    n, c2, two_a = params.n, _LD(params.c2), 2 * _LD(params.a)
+
+    def poly(r):
+        # (n-2) r^(n-2) (1 - c2 r^2) - 2a: the product is positive, so an
+        # overflow to inf keeps the sign that steers the bracket.
+        r = _LD(r)
+        with np.errstate(over="ignore"):
+            return _LD(n - 2) * r ** (n - 2) * (1 - c2 * r * r) - two_a
+
+    lo, hi = 0.0, 1.0
+    while poly(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    return bisect_root(poly, lo, hi, tol=0.0)
 
 
 def schwarzschild_form(

@@ -190,7 +190,7 @@ class _March:
     flat: list
 
 
-def _start(fun, d2fun, y0, t_span, first_step, max_step) -> _March:
+def _start(fun, d2fun, y0, t_span, max_step) -> _March:
     """Check the window and evaluate the first node of an integration."""
     t0, t_end = (_LD(t_span[0]), _LD(t_span[1]))
     if not t_end > t0:
@@ -202,7 +202,7 @@ def _start(fun, d2fun, y0, t_span, first_step, max_step) -> _March:
             f"{_MAX_ATTEMPTS} steps of at most {float(max_step):.3g}"
         )
     k0 = fun(y)
-    h = min(_LD(first_step), max_step, t_end - t0)
+    h = min(_LD(_FIRST_STEP), max_step, t_end - t0)
     zero = (_LD(0),) * len(y)
     return _March(t0, t_end, t0, h, y, k0, zero, 0, [t0], [*y, *k0, *d2fun(y)])
 
@@ -222,7 +222,6 @@ def integrate(
     rtol: float = 1e-13,
     atol: float = 1e-16,
     max_step: float = 0.1,
-    first_step: float = _FIRST_STEP,
     guard: Callable[[Sequence], bool] | None = None,
 ) -> tuple[DenseSolution, bool]:
     """Integrate the autonomous system y' = fun(y) forward on ``t_span``.
@@ -240,7 +239,7 @@ def integrate(
     the whole window.
     """
     rtol, atol, max_step = _LD(rtol), _LD(atol), _LD(max_step)
-    state = _start(fun, d2fun, y0, t_span, first_step, max_step)
+    state = _start(fun, d2fun, y0, t_span, max_step)
     return _march(fun, d2fun, guard, state, rtol, atol, max_step)
 
 
@@ -343,8 +342,8 @@ def integrate_batch(
     """Integrate several systems in lockstep, each bit-identical to ``integrate``.
 
     ``members[i]`` is ``(fun, d2fun, guard, y0, t_span)`` as ``integrate``
-    takes them; the tolerances hold for all, and each starts with
-    ``integrate``'s default first step.  ``batch(idx)`` returns ``(fun, d2fun, guard)`` for the
+    takes them; the tolerances hold for all, and each starts with the
+    same first step as ``integrate``.  ``batch(idx)`` returns ``(fun, d2fun, guard)`` for the
     members in the index array ``idx``, vectorized over them: each takes a
     ``(dim, len(idx))`` longdouble state and returns ``dim`` rows of values
     (the guard one bool per member, or is None).  Each member keeps its own
@@ -360,7 +359,7 @@ def integrate_batch(
     states: dict[int, _March] = {}
     for i, (fun, d2fun, _guard, y0, t_span) in enumerate(members):
         try:
-            states[i] = _start(fun, d2fun, y0, t_span, _FIRST_STEP, max_step)
+            states[i] = _start(fun, d2fun, y0, t_span, max_step)
         except StepFailure:
             pass
     out: list[DenseSolution | None] = [None] * len(members)

@@ -42,7 +42,8 @@ def bisect_root(
         fm = float(f(m))
         if fm == 0.0:
             return m
-        if fa * fm < 0.0:
+        # Compare signs: fa * fm underflows to zero when both are tiny.
+        if (fa < 0.0) != (fm < 0.0):
             b, fb = m, fm
         else:
             a, fa = m, fm

@@ -620,7 +620,7 @@ def test_root_is_not_a_tolerance_name(tmp_path, capsys, command):
     ]
 
 
-_CONSTRUCT = cli._DISPATCH["construct"]
+_CONSTRUCT, *_CONSTRUCT_KEYS = cli._COMMANDS["construct"]
 
 
 def _broken_construct(config, ctx):
@@ -630,8 +630,11 @@ def _broken_construct(config, ctx):
     return _CONSTRUCT(config, ctx)
 
 
+_BROKEN = (_broken_construct, *_CONSTRUCT_KEYS)
+
+
 def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._DISPATCH, "construct", _broken_construct)
+    monkeypatch.setitem(cli._COMMANDS, "construct", _BROKEN)
     cfg = _write_config(
         tmp_path / "c.json",
         {"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "s_max": 1.0, "tag": "construct_001"},
@@ -646,7 +649,7 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_internal_error_in_sweep_keeps_the_summary(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._DISPATCH, "construct", _broken_construct)
+    monkeypatch.setitem(cli._COMMANDS, "construct", _BROKEN)
     cfg = _write_config(
         tmp_path / "sweep.json",
         {
@@ -787,8 +790,14 @@ def _files(directory) -> dict:
     return {p.name: _strip_timestamp(p.read_text()) for p in sorted(directory.iterdir())}
 
 
-@pytest.mark.parametrize("command, base, entries", _SWEEPS, ids=[s[0] for s in _SWEEPS])
-def test_in_process_sweep_equals_single_runs(tmp_path, capsys, monkeypatch, command, base, entries):
+@pytest.mark.parametrize(
+    "command, base, entries, workers",
+    [(*s, 1) for s in _SWEEPS] + [(*s, 2) for s in _SWEEPS],
+    ids=[s[0] for s in _SWEEPS] + [f"{s[0]}-pooled" for s in _SWEEPS],
+)
+def test_in_process_sweep_equals_single_runs(
+    tmp_path, capfd, monkeypatch, command, base, entries, workers
+):
     batches = []
     integrate_batch = profiles.integrate_batch
     monkeypatch.setattr(
@@ -799,29 +808,35 @@ def test_in_process_sweep_equals_single_runs(tmp_path, capsys, monkeypatch, comm
     for i, entry in enumerate(entries):
         cfg = _write_config(tmp_path / "c.json", dict(base, **entry, tag=f"{command}_{i:03d}"))
         codes.append(main([command, "--config", cfg, "--out", str(single)]))
-        out, err = capsys.readouterr()
+        out, err = capfd.readouterr()
         outs.append(out)
         errs.append(err)
     assert not batches
     assert set(codes) - {0} and 0 in codes, "the sweep must mix passing and failing entries"
 
     swept = tmp_path / "sweep"
-    cfg = _write_config(tmp_path / "s.json", dict(base, workers=1, sweep=entries))
+    cfg = _write_config(tmp_path / "s.json", dict(base, workers=workers, sweep=entries))
     assert main([command, "--config", cfg, "--out", str(swept)]) == max(codes)
-    out, err = capsys.readouterr()
-    assert len(batches) == 1
+    out, err = capfd.readouterr()
     assert profiles._PREFETCH == {}
     summary = _read_json(swept / f"{command}_sweep.json")
     assert [r["exit"] for r in summary["sweep"]] == codes
     (swept / f"{command}_sweep.json").unlink()
     assert _files(swept) == _files(single)
     failures = sum(code != 0 for code in codes)
-    assert out == "".join(outs) + f"sweep: {len(entries)} tasks, {failures} failures\n"
-    assert err == "".join(errs)
+    outs.append(f"sweep: {len(entries)} tasks, {failures} failures\n")
+    if workers == 1:
+        assert len(batches) == 1
+        assert out == "".join(outs)
+        assert err == "".join(errs)
+    else:
+        # The entries' lines come from the worker processes, interleaved.
+        assert sorted(out.splitlines()) == sorted("".join(outs).splitlines())
+        assert sorted(err.splitlines()) == sorted("".join(errs).splitlines())
 
 
 def test_prefetch_is_cleared_after_an_internal_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._DISPATCH, "construct", _broken_construct)
+    monkeypatch.setitem(cli._COMMANDS, "construct", _BROKEN)
     cfg = _write_config(tmp_path / "s.json", dict(_SWEEPS[0][1], workers=1, sweep=_SWEEPS[0][2]))
     assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert profiles._PREFETCH == {}
@@ -863,3 +878,41 @@ def test_long_sweep_batches_in_runs_of_entries(tmp_path, monkeypatch):
     assert main(["construct", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
     assert [len(members) for members in batches] == [6, 3, 3]
     assert _files(tmp_path / "runs") == _files(tmp_path / "one")
+
+
+class _SequentialPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+def test_pooled_sweep_batches_each_chunk(tmp_path, monkeypatch):
+    # Seven entries on two workers: chunks of four and three, one batch each.
+    batches = []
+    integrate_batch = profiles.integrate_batch
+    monkeypatch.setattr(
+        profiles, "integrate_batch", lambda *a, **k: batches.append(a[0]) or integrate_batch(*a, **k)
+    )
+    pools = []
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", lambda max_workers: pools.append(max_workers) or _SequentialPool()
+    )
+    entries = [{"n": n, "R": R, "r0": 0.8} for n in (3, 4) for R in (-6.0, 0.0, 6.0)]
+    entries.append({"n": 5, "R": 0.0, "r0": 0.8})
+    config = {"a": 1.0, "s_max": 2.0, "sweep": entries}
+    pooled = _write_config(tmp_path / "p.json", dict(config, workers=2))
+    assert main(["construct", "--config", pooled, "--out", str(tmp_path / "pooled")]) == 0
+    assert [len(members) for members in batches] == [4, 3]
+    assert pools == [2]
+    one = _write_config(tmp_path / "one.json", dict(config, workers=1))
+    assert main(["construct", "--config", one, "--out", str(tmp_path / "one")]) == 0
+    assert [len(members) for members in batches] == [4, 3, 7]
+    assert pools == [2]
+    assert _files(tmp_path / "pooled") == _files(tmp_path / "one")

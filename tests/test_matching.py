@@ -7,6 +7,7 @@ int_s^inf cosh/sinh^2 = 1/sinh(s).
 
 import gc
 import math
+import time
 import weakref
 
 import numpy as np
@@ -27,6 +28,7 @@ from warpcrit import (
 from warpcrit import matching
 from warpcrit.matching import (
     _GL_ORDER,
+    _horizon_from_polynomial,
     _SUBDIV,
     FiberSpec,
     _base_panels,
@@ -46,7 +48,7 @@ from warpcrit.matching import (
     match_boundary,
     schwarzschild_form,
 )
-from warpcrit.profiles import find_roots
+from warpcrit.profiles import find_roots, solve_radius_for_kappa0
 from warpcrit.rk45 import DenseSolution, hermite_quintic
 from warpcrit.support import gauss_legendre
 
@@ -514,6 +516,29 @@ def test_schwarzschild_negative_curvature_has_exclusion():
     # Matched pair through the chart helper.
     res = chart.match(chart.profile.theta)
     assert res.zeta2 == pytest.approx(-chart.profile.theta, abs=1e-10)
+
+
+# At n = 20000 the doubling bracket's r = 2 overflows r^(n-2) to inf, which
+# must steer the bracket without a warning.
+@pytest.mark.parametrize("n, R, a", [(3, -1.0, 2.0), (4, -1.0, 2.0), (5, -6.0, 0.5),
+                                     (1000, -3.0, 0.5), (1000, 0.0, 0.5),
+                                     (20000, -1.0, 1e5), (20000, 0.0, 1e5)])
+def test_polynomial_horizon_matches_the_anchor_route(n, R, a):
+    params = OdeParams(n=n, R=R, a=a)
+    t0 = time.perf_counter()
+    poly = _horizon_from_polynomial(params)
+    elapsed = time.perf_counter() - t0
+    anchor = solve_radius_for_kappa0(params, 1.0)
+    print(f"n={n}: polynomial {poly!r}, anchor {anchor!r}, {elapsed * 1e3:.2f} ms")
+    assert abs(poly - anchor) <= 1e-13 * anchor
+    assert elapsed < 0.1
+
+
+def test_polynomial_horizon_of_a_tiny_mass():
+    # Near the root both bracket values are about 1e-317, so their product
+    # underflows to zero; the bisection must still keep the sign change.
+    params = OdeParams(n=5, R=-6.0, a=1e-300)
+    assert _horizon_from_polynomial(params) == pytest.approx((2e-300 / 3) ** (1 / 3), rel=1e-13)
 
 
 def test_schwarzschild_regime_validation():

@@ -187,6 +187,9 @@ def test_parity_is_exact(params):
     b_minus = prof.sample_base(-s)
     assert np.array_equal(b_plus[2], b_minus[2]), "lam0 not exactly even"
     assert np.array_equal(b_plus[3], -b_minus[3]), "lam0' not exactly odd"
+    # The even member (C = 0) is exactly even, so it descends to a quotient.
+    even = solve_potential(prof, 0.0)
+    assert np.array_equal(even.sample(s).lam, even.sample(-s).lam), "C = 0 lam not exactly even"
     # Recovering lam0 from the two family members agrees to rounding: the
     # final combination lam0 +- C r' is the only inexact step.
     lam0_p = plus.lam - 0.7 * plus.rp
