@@ -451,7 +451,9 @@ class _CumulativeTable:
         lo = float(self.xs[k])
         part = 0.0
         if x > lo:
-            part = float(np.sum(_base_panels(profile, np.array([lo, x], dtype=_LD))))
+            # [lo, x] lies inside one sub-panel, never a full base step.
+            fine = _subdivided(np.array([lo, x], dtype=_LD))
+            part = float(np.sum(_panel_quad(profile.sample_base, fine)))
         return float(self.prefix[k]) + part - self.theta_offset
 
     def solve(self, profile: Profile, target: float) -> float:

@@ -102,10 +102,12 @@ class _Fields:
     ``stack``-ed fields).
     """
 
-    __slots__ = ("n", "a", "c2", "a_jerk", "a_pot", "a_drive", "inv", "a_cons")
+    __slots__ = (
+        "a", "c2", "a_jerk", "a_pot", "a_drive", "inv", "a_cons",
+        "pow_warp", "pow_pot", "pow_drive", "pow_cons",
+    )
 
     def __init__(self, n: int, R: float, a: float) -> None:
-        self.n = n
         self.a = _LD(a)
         self.c2 = _LD(R) / _LD(n * (n - 1))
         self.a_jerk = _LD(a) * _LD(1 - n)
@@ -113,34 +115,36 @@ class _Fields:
         self.a_drive = _LD(n * (n - 1) * a)
         self.inv = _LD(1) / _LD(n - 1)
         self.a_cons = _LD(2.0 * a) / _LD(n - 2)
+        # The integer exponents of r in the formulas below.
+        self.pow_warp, self.pow_pot, self.pow_drive, self.pow_cons = 1 - n, -n, -n - 1, 2 - n
 
     @classmethod
     def stack(cls, members: list["_Fields"]) -> "_Fields":
-        """The fields of several members at once: each coefficient, n
-        included, becomes a longdouble array with one entry per member."""
+        """The fields of several members at once: each coefficient, the
+        exponents included, becomes a longdouble array with one entry per
+        member."""
         out = cls.__new__(cls)
         for name in cls.__slots__:
             setattr(out, name, np.array([getattr(m, name) for m in members], dtype=_LD))
         return out
 
     def warp(self, r):  # r''
-        return self.a * r ** (1 - self.n) - self.c2 * r
+        return self.a * r ** self.pow_warp - self.c2 * r
 
     def warp_jerk(self, r, rp):  # r'''
-        return (self.a_jerk * r ** (-self.n) - self.c2) * rp
+        return (self.a_jerk * r ** self.pow_pot - self.c2) * rp
 
     def potential(self, r, lam):  # lam''
-        coeff = self.c2 + self.a_pot * r ** (-self.n)
+        coeff = self.c2 + self.a_pot * r ** self.pow_pot
         return -coeff * lam - self.inv
 
     def potential_jerk(self, r, rp, lam, lamp):  # lam'''
-        n = self.n
-        coeff = self.c2 + self.a_pot * r ** (-n)
-        drive = self.a_drive * r ** (-n - 1) * rp
+        coeff = self.c2 + self.a_pot * r ** self.pow_pot
+        drive = self.a_drive * r ** self.pow_drive * rp
         return -coeff * lamp + drive * lam
 
     def conserved(self, r, rp):  # the first integral
-        return rp**2 + self.c2 * r**2 + self.a_cons * r ** (2 - self.n)
+        return rp**2 + self.c2 * r**2 + self.a_cons * r ** self.pow_cons
 
 
 @dataclass(frozen=True)
@@ -770,7 +774,8 @@ def solve_radius_for_kappa0(params: OdeParams, kappa0: float, branch: str = "min
                 lo *= 0.5
                 if lo < 1e-300:
                     raise OutOfRange("anchor radius underflow while bracketing")
-            return bisect_root(lambda r: F(r) - kappa0, lo, r_star, tol=_KAPPA0_TOL * r_star)
+            hi = 2.0 * lo  # F(hi) < kappa0 from the last halving
+            return bisect_root(lambda r: F(r) - kappa0, lo, hi, tol=_KAPPA0_TOL * hi)
         hi = r_star
         while F(hi) < kappa0:
             hi *= 2.0
@@ -792,7 +797,9 @@ def solve_radius_for_kappa0(params: OdeParams, kappa0: float, branch: str = "min
         lo *= 0.5
         if lo < 1e-300:
             raise OutOfRange("anchor radius underflow while bracketing")
-    hi = max(1.0, 2.0 * lo)
+    # F(2 lo) < kappa0 from the last halving, if there was one; else the
+    # doubling extends the bracket.  Either way it is relative to the root.
+    hi = 2.0 * lo
     while F(hi) > kappa0:
         hi *= 2.0
         if hi > 1e300:

@@ -11,28 +11,33 @@ truncation-dominated, at tight tolerances).
 
 The core works on longdouble scalars, one per state component, with the
 tableau unrolled per stage: for the four-component systems integrated here a
-scalar operation costs a fraction of a small-array one.  Each weighted sum
-runs left to right, zero weights included, and the solution and error sums
-start from zero, as a matrix product does.  Nothing is updated in place, so a
-rejected attempt cannot leak into the first stage of the retry.  One call
-makes at most ``_MAX_ATTEMPTS`` step attempts, and gives up after a tenth
-of them if it has covered less than a tenth of its window.
+scalar operation costs a fraction of a small-array one.  Every weighted sum
+(the six stage sums, the solution sum and the error sum) starts from zero
+and runs left to right, zero weights included, as a matrix product does.
+Nothing is updated in place, so a rejected attempt cannot leak into the
+first stage of the retry.  One call makes at most ``_MAX_ATTEMPTS`` step
+attempts, and gives up after a tenth of them if it has covered less than a
+tenth of its window.
 
 There are two loops over the same tableau.  ``integrate`` runs the scalar
 loop for one system.  ``integrate_batch`` runs several systems in lockstep
-on a ``(dim, B)`` state, one longdouble array operation per scalar one and
-in the same order, so that each member's nodes, values and ``nfev`` are
-bit-identical to its own ``integrate`` call; the step factor comes from one
-helper on Python floats in both.  A batch step costs about as much as 3.5
-scalar steps whatever B is (on a 2-core x86-64 VM, with four-component
-profile systems), so a batch pays from three or four members on.  Members
-leave as they finish, and once fewer than ``MIN_BATCH`` remain the
-survivors resume on the scalar loop from where they stand.
+on a ``(dim, B)`` state: it keeps the stage values in one ``(7, dim, B)``
+array and forms each weighted sum as one longdouble ``np.dot`` over a
+tableau row.  numpy's longdouble dot has no BLAS path and sums left to right
+from zero, so each member's nodes, values and ``nfev`` are bit-identical to
+its own ``integrate`` call; the step factor comes from one helper on Python
+floats in both.  A batch step costs about three scalar steps at B = 3 and
+four to six at B = 20 (on a 2-core x86-64 VM, with four-component profile
+systems), so a batch pays from three members on.  Members leave as they
+finish, and once fewer than ``MIN_BATCH`` remain the survivors resume on the
+scalar loop from where they stand.
 
 Dense output is per-component two-point quintic Hermite: the caller supplies
 the first and second derivative of the state as functions of the state, both
 available in closed form for the radial systems integrated here, so each step
-segment interpolates with O(h^6) local error at no extra storage.
+segment interpolates with O(h^6) local error at no extra storage.  A 0-d or
+one-element query runs on longdouble scalars, the same operations in the same
+order as a query of many points.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ _E = (
     _LD(22) / 525,
     _LD(-1) / 40,
 )
+# The batch loop's stage rows, and the (2, 7) solution and error rows.
+_ROWS = tuple(np.array(row, dtype=_LD) for row in _A)
+_BE = np.array([_B, _E], dtype=_LD)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -137,25 +145,35 @@ class DenseSolution:
         return float(self.ts[-1])
 
     def __call__(self, t) -> np.ndarray:
-        """Evaluate the interpolant; returns shape ``(dim,)`` or ``(m, dim)``."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=self.ts.dtype))
-        idx = np.searchsorted(self.ts, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.ts) - 2)
-        h = self.ts[idx + 1] - self.ts[idx]
-        tau = ((t_arr - self.ts[idx]) / h)[:, None]
-        h_col = h[:, None]
+        """Evaluate the interpolant; returns shape ``(dim,)`` for a 0-d
+        query, else ``(m, dim)``.
+
+        A 0-d or one-element query runs on longdouble scalars, the same
+        operations in the same order, so both paths agree bit for bit.
+        """
+        ts = self.ts
+        t_arr = np.asarray(t, dtype=ts.dtype)
+        shape = t_arr.shape
+        if shape in ((), (1,)):
+            t_one = t_arr.reshape(())[()]
+            idx = min(max(int(np.searchsorted(ts, t_one, side="right")) - 1, 0), len(ts) - 2)
+            h = ts[idx + 1] - ts[idx]
+            tau = (t_one - ts[idx]) / h
+        else:
+            idx = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
+            h = ts[idx + 1] - ts[idx]
+            tau = ((t_arr - ts[idx]) / h)[:, None]
+            h = h[:, None]
         out = hermite_quintic(
             tau,
             self.ys[idx],
-            h_col * self.dys[idx],
-            h_col * h_col * self.d2ys[idx],
+            h * self.dys[idx],
+            h * h * self.d2ys[idx],
             self.ys[idx + 1],
-            h_col * self.dys[idx + 1],
-            h_col * h_col * self.d2ys[idx + 1],
+            h * self.dys[idx + 1],
+            h * h * self.d2ys[idx + 1],
         )
-        if np.ndim(t) == 0:
-            return out[0]
-        return out
+        return out[None] if shape == (1,) else out
 
 
 def _step_factor(err_norm: float) -> float:
@@ -275,23 +293,23 @@ def _march(fun, d2fun, guard, state: _March, rtol, atol, max_step) -> tuple[Dens
                 f"{float(t_end):.6g}]"
             )
         attempts += 1
-        k1 = fun([u + h * (a10 * c0) for u, c0 in zip(y, k0)])
-        k2 = fun([u + h * (a20 * c0 + a21 * c1) for u, c0, c1 in zip(y, k0, k1)])
+        k1 = fun([u + h * (zero + a10 * c0) for u, c0 in zip(y, k0)])
+        k2 = fun([u + h * (zero + a20 * c0 + a21 * c1) for u, c0, c1 in zip(y, k0, k1)])
         k3 = fun([
-            u + h * (a30 * c0 + a31 * c1 + a32 * c2)
+            u + h * (zero + a30 * c0 + a31 * c1 + a32 * c2)
             for u, c0, c1, c2 in zip(y, k0, k1, k2)
         ])
         k4 = fun([
-            u + h * (a40 * c0 + a41 * c1 + a42 * c2 + a43 * c3)
+            u + h * (zero + a40 * c0 + a41 * c1 + a42 * c2 + a43 * c3)
             for u, c0, c1, c2, c3 in zip(y, k0, k1, k2, k3)
         ])
         k5 = fun([
-            u + h * (a50 * c0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+            u + h * (zero + a50 * c0 + a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
             for u, c0, c1, c2, c3, c4 in zip(y, k0, k1, k2, k3, k4)
         ])
         # k6 = fun(y + incr) up to the Kahan term (FSAL)
         k6 = fun([
-            u + h * (a60 * c0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
+            u + h * (zero + a60 * c0 + a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
             for u, c0, c1, c2, c3, c4, c5 in zip(y, k0, k1, k2, k3, k4, k5)
         ])
         incr, y_new, sq = [], [], []
@@ -351,6 +369,9 @@ def integrate_batch(
     and leaves the batch when it reaches its end, its guard fires or it
     fails; once fewer than ``MIN_BATCH`` remain, each survivor finishes on
     the scalar loop.
+
+    Each weighted sum is one longdouble ``np.dot`` over a tableau row,
+    started from zero as the scalar loop's sums are.
 
     Returns each member's dense solution, or None where ``integrate`` would
     raise ``StepFailure`` or report a guard hit.
@@ -419,6 +440,10 @@ class _NodeLog:
 def _lockstep(states: dict, batch, rtol, atol, max_step) -> tuple[dict, _NodeLog]:
     """March ``states`` together until fewer than ``MIN_BATCH`` remain.
 
+    The stages run over the rows of the tableau: stage i's argument is
+    ``Y + H * (_A[i] . K[:i])`` and the solution and error sums are
+    ``[_B; _E] . K``, each dot started from zero and summed left to right.
+
     Drops from ``states`` the members that fail or hit their guard, and
     leaves each survivor's state where its scalar loop resumes.  Returns the
     attempt counts of the members that reached their end, and the nodes of
@@ -430,16 +455,11 @@ def _lockstep(states: dict, batch, rtol, atol, max_step) -> tuple[dict, _NodeLog
     col = lambda name: np.array([getattr(states[i], name) for i in idx], dtype=_LD)
     T0, TEND, T, H = col("t0"), col("t_end"), col("t"), col("h")
     Y, K0, C = col("y").T, col("k0").T, col("comp").T
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _A[1:5]
-    (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = _A[5:]
-    w0, w1, w2, w3, w4, w5, w6 = np.array([_B, _E], dtype=_LD).T[:, :, None, None]
-    zero = _LD(0)
     checkpoint = _MAX_ATTEMPTS // 10
     attempts = 0
     finished: dict[int, int] = {}
     hit = np.zeros(len(idx), dtype=bool)
     fun = None
-    rhs = lambda z: np.array(fun(z), dtype=_LD)  # the current batch's fun
 
     while True:
         # The checks at the head of the scalar loop, member by member.
@@ -461,16 +481,14 @@ def _lockstep(states: dict, batch, rtol, atol, max_step) -> tuple[dict, _NodeLog
             if len(idx) < MIN_BATCH:
                 break
             fun, d2fun, guard = batch(idx)
+            K = np.empty((7, *Y.shape), dtype=_LD)  # the stage values
+            stages = K.reshape(7, -1)
         attempts += 1
-        K1 = rhs(Y + H * (a10 * K0))
-        K2 = rhs(Y + H * (a20 * K0 + a21 * K1))
-        K3 = rhs(Y + H * (a30 * K0 + a31 * K1 + a32 * K2))
-        K4 = rhs(Y + H * (a40 * K0 + a41 * K1 + a42 * K2 + a43 * K3))
-        K5 = rhs(Y + H * (a50 * K0 + a51 * K1 + a52 * K2 + a53 * K3 + a54 * K4))
-        K6 = rhs(Y + H * (a60 * K0 + a61 * K1 + a62 * K2 + a63 * K3 + a64 * K4 + a65 * K5))
+        K[0] = K0
+        for i in range(1, 7):
+            K[i] = fun(Y + H * np.dot(_ROWS[i], stages[:i]).reshape(Y.shape))
         # The solution and error sums at once: row 0 takes _B, row 1 _E.
-        S = zero + w0 * K0 + w1 * K1 + w2 * K2 + w3 * K3 + w4 * K4 + w5 * K5 + w6 * K6
-        incr, err = H * S[0], H * S[1]
+        incr, err = H * np.dot(_BE, stages).reshape(2, *Y.shape)
         V = Y + (incr - C)
         X = err / (atol + rtol * np.maximum(abs(Y), abs(V)))
         err_norm = np.sqrt(sum(X * X) / len(X)).astype(float)
@@ -479,7 +497,7 @@ def _lockstep(states: dict, batch, rtol, atol, max_step) -> tuple[dict, _NodeLog
         C = np.where(acc, (V - Y) - (incr - C), C)
         T = np.where(acc, T + H, T)
         Y = np.where(acc, V, Y)
-        K0 = np.where(acc, K6, K0)
+        K0 = np.where(acc, K[6], K0)
         if acc.any():
             block = np.concatenate([T[None], Y, K0, np.array(d2fun(Y), dtype=_LD)])
             if acc.all():

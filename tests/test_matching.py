@@ -519,10 +519,13 @@ def test_schwarzschild_negative_curvature_has_exclusion():
 
 
 # At n = 20000 the doubling bracket's r = 2 overflows r^(n-2) to inf, which
-# must steer the bracket without a warning.
+# must steer the bracket without a warning.  The last three horizons lie far
+# below 1, where the anchor route must still resolve them to a relative
+# tolerance.
 @pytest.mark.parametrize("n, R, a", [(3, -1.0, 2.0), (4, -1.0, 2.0), (5, -6.0, 0.5),
                                      (1000, -3.0, 0.5), (1000, 0.0, 0.5),
-                                     (20000, -1.0, 1e5), (20000, 0.0, 1e5)])
+                                     (20000, -1.0, 1e5), (20000, 0.0, 1e5),
+                                     (5, -6.0, 1e-300), (3, -1e300, 1.0), (3, -6.0, 1e-6)])
 def test_polynomial_horizon_matches_the_anchor_route(n, R, a):
     params = OdeParams(n=n, R=R, a=a)
     t0 = time.perf_counter()

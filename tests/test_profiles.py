@@ -151,6 +151,10 @@ def test_oracle_kappa0_anchoring():
     for r0 in (lo, hi):
         k = float(conserved_quantity(params2, r0, 0.0))
         assert k == pytest.approx(4.0, abs=1e-10), f"anchoring failed at r0={r0}"
+    # A min-branch root far below 1 is resolved to a relative tolerance:
+    # r^2 + 2e-9/r = 1 at r = 2e-9 (1 + 4e-18).
+    tiny = solve_radius_for_kappa0(OdeParams(n=3, R=6.0, a=1e-9), 1.0, branch="min")
+    assert tiny == pytest.approx(2e-9, rel=1e-13)
 
 
 # ----------------------------------------------------------------------

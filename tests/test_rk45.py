@@ -132,6 +132,58 @@ def test_dense_solution_reproduces_nodes():
     assert (base.nfev - 1) % 6 == 0
 
 
+def test_one_point_query_matches_the_array_path():
+    # A 0-d or one-element query takes a scalar path; it must give the array
+    # path's row bit for bit, at nodes, inside steps, at t_end and clipped
+    # beyond both ends.
+    LD = np.longdouble
+    base = integrate_profile(OdeParams(n=3, R=-6.0, a=1.0), 1.0, 3.0)._base
+    ts = base.ts
+    i = np.random.default_rng(1).integers(0, len(ts) - 1, 40)
+    frac = np.random.default_rng(2).random(40).astype(LD) / 3
+    inside = ts[i] + (ts[i + 1] - ts[i]) * frac
+    points = [ts[0], ts[7], *inside, ts[-1], ts[-1] + LD(0.5), ts[0] - LD(0.5), LD(-0.0)]
+    rows = base(np.array(points, dtype=LD))
+    dim = base.ys.shape[1]
+    for t, want in zip(points, rows):
+        for query, shape in ((t, (dim,)), (np.asarray(t), (dim,)),
+                             (np.array([t]), (1, dim)), ([t], (1, dim))):
+            got = base(query)
+            assert got.shape == shape and got.dtype == LD
+            assert np.array_equal(got.reshape(dim), want), (t, query)
+            assert np.array_equal(np.signbit(got.reshape(dim)), np.signbit(want)), (t, query)
+
+
+def test_longdouble_dot_sums_left_to_right_from_zero():
+    # The batch loop forms each stage sum as one np.dot over a tableau row;
+    # the scalar loop writes the same sums out, left to right from zero.
+    # The two agree bit for bit only while numpy's longdouble dot has no
+    # BLAS, blocked or pairwise path.
+    LD = np.longdouble
+    rng = np.random.default_rng(0)
+
+    def chain(row, block):
+        acc = LD(0)
+        for j in range(len(row)):
+            acc = acc + row[j] * block[j]
+        return acc
+
+    for k in range(1, 8):
+        rows = [rng.standard_normal(k).astype(LD) / 3 for _ in range(30)]
+        rows += [r for r in (*rk45._ROWS, *rk45._BE) if len(r) == k]
+        for row in rows:
+            scale = LD(10) ** rng.integers(-9, 10, (k, 1))
+            block = rng.standard_normal((k, 40)).astype(LD) / 7 * scale
+            block[:, 0] = -0.0  # an all-zero sum keeps the sign of its zero start
+            got, want = np.dot(row, block), chain(row, block)
+            assert np.array_equal(got, want), (k, row)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (k, row)
+    # The solution and error sums: one (2, 7) by (7, m) product.
+    got = np.dot(rk45._BE, block)
+    for i in range(2):
+        assert np.array_equal(got[i], chain(rk45._BE[i], block))
+
+
 def test_step_budget_exhausted(monkeypatch):
     # 40 steps of max_step would do, but the tolerance needs far more.
     monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 50)
