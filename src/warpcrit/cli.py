@@ -45,6 +45,8 @@ from .matching import (
     FiberSpec,
     build_quotient_domain,
     build_two_boundary_domain,
+    require_quotient,
+    require_two_boundary,
     schwarzschild_form,
 )
 from .profiles import (
@@ -62,7 +64,11 @@ from .serialize import (
     write_envelope,
     write_profile_csv,
 )
-from .spectrum import first_dirichlet_eigenvalue, verify_eigenvalue_signs
+from .spectrum import (
+    first_dirichlet_eigenvalue,
+    require_sign_regime,
+    verify_eigenvalue_signs,
+)
 
 __all__ = ["main"]
 
@@ -209,13 +215,16 @@ def _s_max(command: str, config: dict) -> float:
 
 def _profile_request(command: str, config: dict):
     """``(params, r0, s_max)`` of the profile a sweep entry integrates first,
-    or None when the entry has none or its config fails validation.  The
-    commands with an anchor ``r0`` integrate the profile anchored there first."""
+    or None when the entry has none, or its config fails validation or the
+    command's up-front check (``_UP_FRONT``).  The commands with an anchor
+    ``r0`` integrate the profile anchored there first."""
     _, required, optional = _COMMANDS[command]
     if "r0" not in required:
         return None
     try:
         _validate(config, required, optional)
+        if command in _UP_FRONT:
+            _UP_FRONT[command](config)
         return _params_from(config), float(config["r0"]), _s_max(command, config)
     except InputError:
         return None
@@ -381,7 +390,18 @@ def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
     return 0, payload, f"match: zeta1={config['zeta1']:.12g} -> zeta2={zeta2:.12g}"
 
 
+def _spectrum_check(config: dict) -> None:
+    """cmd_spectrum's checks before it integrates: a sign report needs the
+    oscillatory regime, an eigenvalue an interval."""
+    params = _params_from(config)
+    if config.get("signs", False):
+        require_sign_regime(params)
+    elif "interval" not in config:
+        raise ConfigError("spectrum needs \"interval\" unless \"signs\" is true")
+
+
 def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
+    _spectrum_check(config)
     params = _params_from(config)
     num = config.get("num", 512)
     payload = {
@@ -401,8 +421,6 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
             f"spectrum: phase={report.phase} matched={report.matched.sign} "
             f"consistent={report.consistent}"
         )
-    if "interval" not in config:
-        raise ConfigError("spectrum needs \"interval\" unless \"signs\" is true")
     prof = integrate_profile(params, float(config["r0"]), _s_max("spectrum", config))
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
@@ -534,6 +552,17 @@ _COMMANDS = {
         dict(_PARAM_KEYS, r0=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
     ),
+}
+
+
+# The checks a command's builder makes before it integrates its profile, for
+# the commands that have one: _profile_request leaves an entry that fails
+# them out of its sweep's batch.
+_UP_FRONT = {
+    "match": lambda config: require_two_boundary(_params_from(config)),
+    "example1": lambda config: require_two_boundary(_params_from(config)),
+    "example2": lambda config: require_quotient(_params_from(config)),
+    "spectrum": _spectrum_check,
 }
 
 

@@ -36,6 +36,7 @@ from .profiles import (
     potential_accel,
     warp_accel,
 )
+from .support import row_blocks
 
 __all__ = [
     "CurvatureSample",
@@ -272,7 +273,9 @@ def verify_critical(
     scalar-curvature deviation |scal - R|, the conformal-flatness
     reconstruction residual, and (for a = 0) the Einstein reduction.  The
     declared fiber is gated against the conserved quantity first
-    (FiberMismatch).
+    (FiberMismatch).  The residuals are evaluated and reduced to their
+    maxima one block of ``support.ROW_BLOCK`` grid points at a time, which
+    bounds the memory and gives the maxima of the whole window exactly.
     """
     if not profile.complete:
         raise InvalidRegime("verification requires a profile with a potential")
@@ -281,43 +284,61 @@ def verify_critical(
         fiber = FiberSpec(dim=params.n - 1, kappa0=profile.kappa0)
     s, r, rp, lam, lamp = _grid_slice(profile, interval)
     _fiber_gate(profile, fiber, r, rp, fiber_tol)
+    floor = _lambda_floor(lam)
 
-    t = _frame_tensors(params, fiber.kappa0, s, r, rp, lam, lamp)
     n = params.n
-    lam_ld = np.asarray(lam, dtype=_LD)
     one = _LD(1.0)
-    ss = -t["lap"] + t["hess_ss"] - lam_ld * t["ric_ss"] - one
-    tan = -t["lap"] + t["hess_tan"] - lam_ld * t["ric_tan"] - one
-    trace = t["lap"] + (_LD(params.R) * lam_ld + _LD(n)) / _LD(n - 1)
-    max_crit = float(
-        max(np.max(np.abs(ss)), np.max(np.abs(tan)), np.max(np.abs(trace)))
-    )
-    max_scal = float(np.max(np.abs(t["scal"] - _LD(params.R))))
-
-    weyl = _conformal_residual(t, lam_ld, params)
-    einstein = None
-    if params.a == 0.0:
-        kap = _LD(params.R) / _LD(n * (n - 1))
-        target = -kap * lam_ld - one / _LD(n - 1)
-        einstein = float(
-            max(
+    kap = _LD(params.R) / _LD(n * (n - 1))
+    crit, scal, weyl, einstein = [], [], [], []
+    for t, lam_ld in _frame_blocks(params, fiber.kappa0, s, r, rp, lam, lamp):
+        ss = -t["lap"] + t["hess_ss"] - lam_ld * t["ric_ss"] - one
+        tan = -t["lap"] + t["hess_tan"] - lam_ld * t["ric_tan"] - one
+        trace = t["lap"] + (_LD(params.R) * lam_ld + _LD(n)) / _LD(n - 1)
+        crit.append((np.max(np.abs(ss)), np.max(np.abs(tan)), np.max(np.abs(trace))))
+        scal.append(np.max(np.abs(t["scal"] - _LD(params.R))))
+        weyl.extend(_conformal_residual(t, lam_ld, params, floor))
+        if params.a == 0.0:
+            target = -kap * lam_ld - one / _LD(n - 1)
+            einstein.append((
                 np.max(np.abs(t["hess_ss"] - target)),
                 np.max(np.abs(t["hess_tan"] - target)),
                 np.max(np.abs(t["ric_ss"] - t["ric_tan"])),
-            )
-        )
+            ))
 
     return ResidualReport(
-        max_critical_residual=max_crit,
-        max_scal_deviation=max_scal,
-        max_weyl_residual=weyl,
-        max_einstein_residual=einstein,
+        max_critical_residual=float(max(*np.max(crit, axis=0))),
+        max_scal_deviation=float(np.max(scal)),
+        max_weyl_residual=float(max(*np.max(weyl, axis=0))),
+        max_einstein_residual=float(max(*np.max(einstein, axis=0))) if einstein else None,
         grid_size=int(np.size(s)),
         tolerances={"fiber_tol": fiber_tol, "lambda_floor": _LAMBDA_FLOOR},
     )
 
 
-def _conformal_residual(t: dict, lam_ld: np.ndarray, params: OdeParams) -> float:
+def _frame_blocks(params: OdeParams, kappa0: float, s, r, rp, lam, lamp):
+    """``_frame_tensors`` and lam in longdouble, one row block at a time."""
+    for rows in row_blocks(np.size(s)):
+        t = _frame_tensors(params, kappa0, s[rows], r[rows], rp[rows], lam[rows], lamp[rows])
+        yield t, np.asarray(lam[rows], dtype=_LD)
+
+
+def _lambda_floor(lam) -> float:
+    """The potential floor of the conformal reconstruction: ``_LAMBDA_FLOOR``
+    times the sup of |lam| over the window under evaluation.
+
+    Raises AllPointsMasked when no point of the window clears it.
+    """
+    abs_lam = np.abs(np.asarray(lam, dtype=float))
+    floor = _LAMBDA_FLOOR * float(np.max(abs_lam))
+    if not np.any(abs_lam > floor):
+        raise AllPointsMasked(
+            "every grid point is below the potential floor; the conformal "
+            "reconstruction is undefined on this window"
+        )
+    return floor
+
+
+def _conformal_residual(t: dict, lam_ld: np.ndarray, params: OdeParams, floor: float) -> list:
     """Reconstruction residual of both sectional curvatures from the potential.
 
     At points where the potential is nonzero, the curvature tensor is
@@ -327,36 +348,37 @@ def _conformal_residual(t: dict, lam_ld: np.ndarray, params: OdeParams) -> float
         sec_rad = B + (hess_ss + hess_tan) / ((n-2) lam)
         sec_tan = B + 2 hess_tan / ((n-2) lam),     B = (R + 2/lam) / ((n-1)(n-2))
 
-    Points with |lam| below the floor (relative to the sup of |lam| over the
-    window under evaluation) are masked.
+    Points with |lam| at or below ``floor`` (see ``_lambda_floor``) are
+    masked.  Serves one block: returns ``[(max radial, max tangential)]``,
+    or ``[]`` when the floor masks the whole block.
     """
     n = params.n
-    floor = _LAMBDA_FLOOR * float(np.max(np.abs(np.asarray(lam_ld, dtype=float))))
     keep = np.abs(np.asarray(lam_ld, dtype=float)) > floor
     if not np.any(keep):
-        raise AllPointsMasked(
-            "every grid point is below the potential floor; the conformal "
-            "reconstruction is undefined on this window"
-        )
+        return []
     lam = lam_ld[keep]
     base = (_LD(params.R) + _LD(2.0) / lam) / _LD((n - 1) * (n - 2))
     rad_rhs = base + (t["hess_ss"][keep] + t["hess_tan"][keep]) / (_LD(n - 2) * lam)
     tan_rhs = base + _LD(2.0) * t["hess_tan"][keep] / (_LD(n - 2) * lam)
     res_rad = np.abs(t["sec_rad"][keep] - rad_rhs)
     res_tan = np.abs(t["sec_tan"][keep] - tan_rhs)
-    return float(max(np.max(res_rad), np.max(res_tan)))
+    return [(np.max(res_rad), np.max(res_tan))]
 
 
 def verify_conformally_flat(
     profile: Profile, fiber: FiberSpec | None = None, *, interval=None
 ) -> float:
-    """Max residual of the sectional-curvature reconstruction (masked)."""
+    """Max residual of the sectional-curvature reconstruction (masked),
+    reduced one row block at a time as in ``verify_critical``."""
     if not profile.complete:
         raise InvalidRegime("verification requires a profile with a potential")
     kappa0 = profile.kappa0 if fiber is None else fiber.kappa0
     s, r, rp, lam, lamp = _grid_slice(profile, interval)
-    t = _frame_tensors(profile.params, kappa0, s, r, rp, lam, lamp)
-    return _conformal_residual(t, np.asarray(lam, dtype=_LD), profile.params)
+    floor = _lambda_floor(lam)
+    weyl = []
+    for t, lam_ld in _frame_blocks(profile.params, kappa0, s, r, rp, lam, lamp):
+        weyl.extend(_conformal_residual(t, lam_ld, profile.params, floor))
+    return float(max(*np.max(weyl, axis=0)))
 
 
 def level_set_geometry(profile: Profile, s: float) -> LevelSetData:

@@ -779,6 +779,23 @@ def _certified_domain(
     )
 
 
+def require_two_boundary(params: OdeParams) -> None:
+    """build_two_boundary_domain's check before it integrates."""
+    if params.a <= 0.0:
+        raise InvalidRegime(
+            "two-boundary construction requires a > 0 (a = 0 is the "
+            "Einstein case with a single boundary sphere)"
+        )
+
+
+def require_quotient(params: OdeParams) -> None:
+    """build_quotient_domain's check before it integrates."""
+    if params.a <= 0.0:
+        raise InvalidRegime(
+            "quotient construction requires a > 0 (a = 0 is the Einstein case)"
+        )
+
+
 def build_two_boundary_domain(
     params: OdeParams,
     r0: float,
@@ -792,14 +809,10 @@ def build_two_boundary_domain(
     Integrates the even profile anchored at r0, pairs zeta1 with its partner
     root, attaches the matched potential, and packages boundary data.  The
     boundary has two connected components; the potential is positive inside.
-    Requires a > 0: with a = 0 the metric is Einstein and the two-boundary
-    construction degenerates.
+    Requires a > 0 (``require_two_boundary``): with a = 0 the metric is
+    Einstein and the two-boundary construction degenerates.
     """
-    if params.a <= 0.0:
-        raise InvalidRegime(
-            "two-boundary construction requires a > 0 (a = 0 is the "
-            "Einstein case with a single boundary sphere)"
-        )
+    require_two_boundary(params)
     profile = integrate_profile(params, r0, s_max)
     match = match_boundary(profile, zeta1)
     if fiber is None:
@@ -823,10 +836,7 @@ def build_quotient_domain(
     otherwise); by default a positively curved fiber is taken to be the
     round sphere with its antipodal involution.
     """
-    if params.a <= 0.0:
-        raise InvalidRegime(
-            "quotient construction requires a > 0 (a = 0 is the Einstein case)"
-        )
+    require_quotient(params)
     profile = integrate_profile(params, r0, s_max)
     if fiber is None:
         fiber = FiberSpec(params.n - 1, profile.kappa0, symmetry=bool(profile.kappa0 > 0.0))

@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import support
 from .errors import (
     DegenerateInitial,
     InvalidRegime,
@@ -319,6 +320,8 @@ class Profile:
 
         Uses the dense output of the integrator with the parity relations
         (r, lam0 even; r', lam0' odd), so mirrored queries agree exactly.
+        A query longer than ``support.ROW_BLOCK`` points is evaluated block by
+        block into one preallocated array, with the same values bit for bit.
         Raises InvalidRegime for a profile rebuilt from a grid, which has none.
         """
         s = np.atleast_1d(np.asarray(s, dtype=_LD))
@@ -330,13 +333,17 @@ class Profile:
             raise DegenerateInitial(
                 "constant solution carries no even potential branch"
             )
-        sign = np.where(s < 0, _LD(-1.0), _LD(1.0))
-        y = self._dense()(np.abs(s))
-        r = y[:, 0]
-        rp = sign * y[:, 1]
-        lam0 = y[:, 2]
-        lam0p = sign * y[:, 3]
-        return r, rp, lam0, lam0p
+        dense = self._dense()
+        if s.size <= support.ROW_BLOCK:
+            sign = np.where(s < 0, _LD(-1.0), _LD(1.0))
+            y = dense(np.abs(s))
+            return y[:, 0], sign * y[:, 1], y[:, 2], sign * y[:, 3]
+        y = np.empty((s.size, 4), dtype=_LD)
+        for rows in support.row_blocks(s.size):
+            block = s[rows]
+            y[rows] = dense(np.abs(block))
+            y[rows, 1::2] *= np.where(block < 0, _LD(-1.0), _LD(1.0))[:, None]
+        return y[:, 0], y[:, 1], y[:, 2], y[:, 3]
 
     def sample(self, s) -> ProfileValues:
         """Evaluate (r, r', lam, lam') at arbitrary arclengths in the window.

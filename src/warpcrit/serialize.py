@@ -4,8 +4,9 @@ CSV carries the sampled profile in five fixed columns (s, r, rp, lam, lamp)
 at 17 significant digits, which reproduces IEEE doubles exactly on
 re-ingestion.  JSON envelopes are emitted with sorted keys, two-space
 indentation, and the same float formatting, so two runs of the same
-configuration differ only in the timestamp field.  All writes go through a
-temporary file in the target directory followed by an atomic replace.
+configuration differ only in the timestamp field.  All writes go through one
+atomic writer: a temporary file in the target directory, then an atomic
+replace.  Tables are rendered and written a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .errors import ConfigError
 from .profiles import OdeParams, Profile, conserved_quantity
+from .support import row_blocks
 
 __all__ = [
     "dump_json",
@@ -82,18 +85,30 @@ def dump_json(obj, indent: int = 0) -> str:
     raise ConfigError(f"unserializable value of type {type(obj).__name__}")
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text via a sibling temp file and an atomic rename."""
+@contextmanager
+def _atomic_writer(path: str):
+    """Yield a text file that replaces ``path`` atomically on a clean exit.
+
+    The file is a sibling temp file of ``path``; it is renamed over ``path``
+    when the block ends and removed if the block raises, so ``path`` holds
+    either its old content or the whole new text, never a part of it.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write a whole text at once through the atomic writer."""
+    with _atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def write_envelope(path: str, payload: dict) -> dict:
@@ -107,24 +122,30 @@ def write_envelope(path: str, payload: dict) -> dict:
 def write_csv(path: str, header: str, columns) -> None:
     """Write equal-length columns as a CSV table at full double precision.
 
-    Every row is rendered by one ``%`` operation over the whole table.
-    ``'%.17g' % x`` and ``format(x, '.17g')`` both reduce to
-    ``PyOS_double_to_string(x, 'g', 17)``, so the bytes are those of
-    ``_fmt``: 17 significant digits, and ``nan`` for every non-finite value.
+    The rows go through the atomic writer one block of ``support.ROW_BLOCK``
+    rows at a time: each block's columns are converted to float64 and the
+    block is rendered by one ``%`` operation, so memory stays a block's
+    worth however long the table is.  ``'%.17g' % x`` and
+    ``format(x, '.17g')`` both reduce to ``PyOS_double_to_string(x, 'g', 17)``,
+    so the bytes are those of ``_fmt``: 17 significant digits, and ``nan``
+    for every non-finite value.
     """
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    table[~np.isfinite(table)] = np.nan
-    m, k = table.shape
-    row = ",".join(["%.17g"] * k) + "\n"
-    write_text_atomic(path, (header + "\n" + row * m) % tuple(table.ravel().tolist()))
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _atomic_writer(path) as fh:
+        fh.write(header + "\n")
+        for rows in row_blocks(len(columns[0])):
+            table = np.column_stack([np.asarray(c[rows], dtype=float) for c in columns])
+            table[~np.isfinite(table)] = np.nan
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_profile_csv(path: str, profile: Profile) -> None:
     """Profile samples in the five fixed columns at full double precision.
 
-    Rows are rendered in one ``%.17g`` pass (see ``write_csv``), byte-identical
-    to ``format(x, '.17g')``; non-finite values, and the potential columns of
-    a partial profile, are written as ``nan``.
+    Rows are rendered by ``%.17g`` a block at a time (see ``write_csv``),
+    byte-identical to ``format(x, '.17g')``; non-finite values, and the
+    potential columns of a partial profile, are written as ``nan``.
     """
     nan = np.full(profile.grid.shape, np.nan)
     lam = nan if profile.lam is None else profile.lam

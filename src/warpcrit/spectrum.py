@@ -316,6 +316,14 @@ def identity_residual(profile: Profile, interval, *, num: int = 512) -> float:
     return _identity_defect(profile, interval, _halving_pair(profile, interval, num))
 
 
+def require_sign_regime(params: OdeParams) -> None:
+    """verify_eigenvalue_signs's check before it integrates."""
+    if params.R <= 0.0 or params.a <= 0.0:
+        raise InvalidRegime(
+            "sign verification targets the oscillatory regime R > 0, a > 0"
+        )
+
+
 def verify_eigenvalue_signs(
     params: OdeParams,
     r0: float,
@@ -336,10 +344,7 @@ def verify_eigenvalue_signs(
     identity is evaluated on the matched interval.  Raises OutOfRange when
     the window holds no positive critical point of r.
     """
-    if params.R <= 0.0 or params.a <= 0.0:
-        raise InvalidRegime(
-            "sign verification targets the oscillatory regime R > 0, a > 0"
-        )
+    require_sign_regime(params)
     profile = integrate_profile(params, r0, s_max)
     if profile.constant_solution:
         raise DegenerateInitial(

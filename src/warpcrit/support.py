@@ -7,7 +7,12 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["bisect_root", "gauss_legendre"]
+__all__ = ["ROW_BLOCK", "bisect_root", "gauss_legendre", "row_blocks"]
+
+# Rows per block of the per-point pipeline: dense evaluation of long queries,
+# CSV rendering and the verification reductions work one block at a time,
+# so their temporaries stay a fixed size however long the grid is.
+ROW_BLOCK = 8192
 
 
 def bisect_root(
@@ -57,3 +62,9 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (x.astype(np.longdouble) + 1.0) * 0.5
     weights = w.astype(np.longdouble) * 0.5
     return nodes, weights
+
+
+def row_blocks(n: int):
+    """Slices that cut ``range(n)`` into consecutive blocks of ``ROW_BLOCK``."""
+    for start in range(0, n, ROW_BLOCK):
+        yield slice(start, min(start + ROW_BLOCK, n))

@@ -758,8 +758,9 @@ def test_sweep_rejects_colliding_tags(tmp_path, capsys, entries, tag):
 
 
 # (command, base config, entries): every in-process sweep below batches its
-# profiles, and some entries fail: a = 0 exits 2, as do r0 < 0 and a zeta1
-# beyond the window; a collapsing warp factor (a < 0) exits 3.  A constant
+# profiles, and some entries fail: a = 0 exits 2, as do r0 < 0, a zeta1
+# beyond the window, a sign report with R < 0 and a spectrum with neither
+# signs nor interval; a collapsing warp factor (a < 0) exits 3.  A constant
 # solution is not batched.
 _SWEEPS = [
     ("construct", {"n": 3, "a": 1.0, "s_max": 2.0, "C": 0.25}, [
@@ -782,8 +783,13 @@ _SWEEPS = [
     ("spectrum", {"R": 6.0, "a": 1.0, "C": 0.1, "s_max": 4.0, "signs": True, "num": 64}, [
         {"n": 3, "r0": 0.8}, {"n": 3, "r0": 1.3}, {"n": 4, "r0": 0.8},
         {"n": 3, "r0": 0.8, "a": -1.0, "signs": False, "interval": [0.0, 1.0]},
+        {"n": 3, "r0": 0.9, "signs": False}, {"n": 3, "r0": 1.0, "R": -6.0},
     ]),
 ]
+
+# The entries of each sweep above that their command's builder rejects before
+# it integrates: they must not join the batch.
+_REJECTED_UP_FRONT = {"example1": [4], "example2": [3], "spectrum": [4, 5]}
 
 
 def _files(directory) -> dict:
@@ -798,10 +804,14 @@ def _files(directory) -> dict:
 def test_in_process_sweep_equals_single_runs(
     tmp_path, capfd, monkeypatch, command, base, entries, workers
 ):
-    batches = []
+    batches, members = [], []
     integrate_batch = profiles.integrate_batch
     monkeypatch.setattr(
         profiles, "integrate_batch", lambda *a, **k: batches.append(None) or integrate_batch(*a, **k)
+    )
+    batch_members = profiles._batch_members
+    monkeypatch.setattr(
+        profiles, "_batch_members", lambda keys: members.extend(keys) or batch_members(keys)
     )
     single = tmp_path / "single"
     codes, outs, errs = [], [], []
@@ -827,6 +837,10 @@ def test_in_process_sweep_equals_single_runs(
     outs.append(f"sweep: {len(entries)} tasks, {failures} failures\n")
     if workers == 1:
         assert len(batches) == 1
+        for i in _REJECTED_UP_FRONT.get(command, []):
+            cfg = dict(base, **entries[i])
+            key = (OdeParams(cfg["n"], cfg["R"], cfg["a"]), cfg["r0"], cfg["s_max"])
+            assert codes[i] == 2 and key not in members, entries[i]
         assert out == "".join(outs)
         assert err == "".join(errs)
     else:
