@@ -216,16 +216,17 @@ def _s_max(command: str, config: dict) -> float:
 def _profile_request(command: str, config: dict):
     """``(params, r0, s_max)`` of the profile a sweep entry integrates first,
     or None when the entry has none, or its config fails validation or the
-    command's up-front check (``_UP_FRONT``).  The commands with an anchor
-    ``r0`` integrate the profile anchored there first."""
-    _, required, optional = _COMMANDS[command]
+    command's up-front check (see ``_COMMANDS``).  The commands with an
+    anchor ``r0`` integrate the profile anchored there first."""
+    _, required, optional, check = _COMMANDS[command]
     if "r0" not in required:
         return None
     try:
         _validate(config, required, optional)
-        if command in _UP_FRONT:
-            _UP_FRONT[command](config)
-        return _params_from(config), float(config["r0"]), _s_max(command, config)
+        params = _params_from(config)
+        if check is not None:
+            check(params, config)
+        return params, float(config["r0"]), _s_max(command, config)
     except InputError:
         return None
 
@@ -390,18 +391,22 @@ def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
     return 0, payload, f"match: zeta1={config['zeta1']:.12g} -> zeta2={zeta2:.12g}"
 
 
-def _spectrum_check(config: dict) -> None:
-    """cmd_spectrum's checks before it integrates: a sign report needs the
-    oscillatory regime, an eigenvalue an interval."""
-    params = _params_from(config)
-    if config.get("signs", False):
-        require_sign_regime(params)
-    elif "interval" not in config:
+def _require_interval(config: dict) -> None:
+    """cmd_spectrum's check before it integrates for an eigenvalue."""
+    if "interval" not in config:
         raise ConfigError("spectrum needs \"interval\" unless \"signs\" is true")
 
 
+def _spectrum_check(params: OdeParams, config: dict) -> None:
+    """cmd_spectrum's check before it integrates: the oscillatory regime for
+    a sign report, an interval for an eigenvalue."""
+    if config.get("signs", False):
+        require_sign_regime(params)
+    else:
+        _require_interval(config)
+
+
 def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    _spectrum_check(config)
     params = _params_from(config)
     num = config.get("num", 512)
     payload = {
@@ -421,6 +426,7 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
             f"spectrum: phase={report.phase} matched={report.matched.sign} "
             f"consistent={report.consistent}"
         )
+    _require_interval(config)
     prof = integrate_profile(params, float(config["r0"]), _s_max("spectrum", config))
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
@@ -510,24 +516,30 @@ def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict, str]:
     )
 
 
-# Each command: (function, required config keys, optional config keys), the
-# keys mapped to their checks.  _run_task validates a config against its
-# command's keys before it calls the function.
+# Each command: (function, required config keys, optional config keys,
+# up-front check), the keys mapped to their checks.  _run_task validates a
+# config against its command's keys before it calls the function.  The
+# up-front check, ``check(params, config)`` or None, is the one the command's
+# builder makes before it integrates its profile: _profile_request leaves a
+# sweep entry that fails it out of its sweep's batch.
 _COMMANDS = {
     "construct": (
         cmd_construct,
         dict(_PARAM_KEYS, r0=_want_num),
         dict(_COMMON_OPT, C=_want_num, s_max=_want_num, grid_step=_want_num),
+        None,
     ),
     "verify": (
         cmd_verify,
         dict(_PARAM_KEYS, profile_csv=_want_str),
         dict(_COMMON_OPT, kappa0=_want_num, fiber_dim=_want_int, interval=_want_interval),
+        None,
     ),
     "match": (
         cmd_match,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber, write_profile=_want_bool),
+        lambda params, _: require_two_boundary(params),
     ),
     "spectrum": (
         cmd_spectrum,
@@ -536,33 +548,26 @@ _COMMANDS = {
             _COMMON_OPT, C=_want_num, s_max=_want_num, interval=_want_interval,
             num=_want_int, signs=_want_bool, eigenvector_csv=_want_bool,
         ),
+        _spectrum_check,
     ),
     "schwarzschild": (
         cmd_schwarzschild,
         dict(_PARAM_KEYS),
         dict(_COMMON_OPT, kappa0=_want_num, s_max=_want_num, zeta1=_want_num),
+        None,
     ),
     "example1": (
         cmd_example1,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
+        lambda params, _: require_two_boundary(params),
     ),
     "example2": (
         cmd_example2,
         dict(_PARAM_KEYS, r0=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
+        lambda params, _: require_quotient(params),
     ),
-}
-
-
-# The checks a command's builder makes before it integrates its profile, for
-# the commands that have one: _profile_request leaves an entry that fails
-# them out of its sweep's batch.
-_UP_FRONT = {
-    "match": lambda config: require_two_boundary(_params_from(config)),
-    "example1": lambda config: require_two_boundary(_params_from(config)),
-    "example2": lambda config: require_quotient(_params_from(config)),
-    "spectrum": _spectrum_check,
 }
 
 
@@ -587,7 +592,7 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
     one line naming its class and innermost frame instead of a traceback.
     """
     tag = config.get("tag", "profile" if command == "construct" else command)
-    run, required, optional = _COMMANDS[command]
+    run, required, optional, _ = _COMMANDS[command]
     try:
         _validate(config, required, optional)
         code, payload, line = run(config, dict(ctx, tag=tag))

@@ -296,7 +296,7 @@ def verify_critical(
         trace = t["lap"] + (_LD(params.R) * lam_ld + _LD(n)) / _LD(n - 1)
         crit.append((np.max(np.abs(ss)), np.max(np.abs(tan)), np.max(np.abs(trace))))
         scal.append(np.max(np.abs(t["scal"] - _LD(params.R))))
-        weyl.extend(_conformal_residual(t, lam_ld, params, floor))
+        weyl.append(_conformal_residual(t, lam_ld, params, floor))
         if params.a == 0.0:
             target = -kap * lam_ld - one / _LD(n - 1)
             einstein.append((
@@ -306,13 +306,24 @@ def verify_critical(
             ))
 
     return ResidualReport(
-        max_critical_residual=float(max(*np.max(crit, axis=0))),
+        max_critical_residual=_max_over_blocks(crit),
         max_scal_deviation=float(np.max(scal)),
-        max_weyl_residual=float(max(*np.max(weyl, axis=0))),
-        max_einstein_residual=float(max(*np.max(einstein, axis=0))) if einstein else None,
+        max_weyl_residual=_max_over_blocks(weyl),
+        max_einstein_residual=_max_over_blocks(einstein) if einstein else None,
         grid_size=int(np.size(s)),
         tolerances={"fiber_tol": fiber_tol, "lambda_floor": _LAMBDA_FLOOR},
     )
+
+
+def _max_over_blocks(maxima) -> float:
+    """The max over the window of quantities reduced one block at a time.
+
+    ``maxima`` holds one tuple of per-quantity maxima per block, or None
+    for a block with no point under evaluation.  Each quantity is combined
+    over the blocks by ``np.max``, which propagates NaN, and the quantities
+    by ``max`` in their order, as over the whole window at once.
+    """
+    return float(max(*np.max([m for m in maxima if m is not None], axis=0)))
 
 
 def _frame_blocks(params: OdeParams, kappa0: float, s, r, rp, lam, lamp):
@@ -338,7 +349,7 @@ def _lambda_floor(lam) -> float:
     return floor
 
 
-def _conformal_residual(t: dict, lam_ld: np.ndarray, params: OdeParams, floor: float) -> list:
+def _conformal_residual(t: dict, lam_ld: np.ndarray, params: OdeParams, floor: float):
     """Reconstruction residual of both sectional curvatures from the potential.
 
     At points where the potential is nonzero, the curvature tensor is
@@ -349,20 +360,20 @@ def _conformal_residual(t: dict, lam_ld: np.ndarray, params: OdeParams, floor: f
         sec_tan = B + 2 hess_tan / ((n-2) lam),     B = (R + 2/lam) / ((n-1)(n-2))
 
     Points with |lam| at or below ``floor`` (see ``_lambda_floor``) are
-    masked.  Serves one block: returns ``[(max radial, max tangential)]``,
-    or ``[]`` when the floor masks the whole block.
+    masked.  Serves one block: returns ``(max radial, max tangential)``,
+    or None when the floor masks the whole block.
     """
     n = params.n
     keep = np.abs(np.asarray(lam_ld, dtype=float)) > floor
     if not np.any(keep):
-        return []
+        return None
     lam = lam_ld[keep]
     base = (_LD(params.R) + _LD(2.0) / lam) / _LD((n - 1) * (n - 2))
     rad_rhs = base + (t["hess_ss"][keep] + t["hess_tan"][keep]) / (_LD(n - 2) * lam)
     tan_rhs = base + _LD(2.0) * t["hess_tan"][keep] / (_LD(n - 2) * lam)
     res_rad = np.abs(t["sec_rad"][keep] - rad_rhs)
     res_tan = np.abs(t["sec_tan"][keep] - tan_rhs)
-    return [(np.max(res_rad), np.max(res_tan))]
+    return np.max(res_rad), np.max(res_tan)
 
 
 def verify_conformally_flat(
@@ -375,10 +386,10 @@ def verify_conformally_flat(
     kappa0 = profile.kappa0 if fiber is None else fiber.kappa0
     s, r, rp, lam, lamp = _grid_slice(profile, interval)
     floor = _lambda_floor(lam)
-    weyl = []
-    for t, lam_ld in _frame_blocks(profile.params, kappa0, s, r, rp, lam, lamp):
-        weyl.extend(_conformal_residual(t, lam_ld, profile.params, floor))
-    return float(max(*np.max(weyl, axis=0)))
+    blocks = _frame_blocks(profile.params, kappa0, s, r, rp, lam, lamp)
+    return _max_over_blocks(
+        _conformal_residual(t, lam_ld, profile.params, floor) for t, lam_ld in blocks
+    )
 
 
 def level_set_geometry(profile: Profile, s: float) -> LevelSetData:

@@ -320,8 +320,9 @@ class Profile:
 
         Uses the dense output of the integrator with the parity relations
         (r, lam0 even; r', lam0' odd), so mirrored queries agree exactly.
-        A query longer than ``support.ROW_BLOCK`` points is evaluated block by
-        block into one preallocated array, with the same values bit for bit.
+        The query is evaluated one block of ``support.ROW_BLOCK`` points at a
+        time into one preallocated array, so a long query holds one
+        output-sized array plus one block of temporaries.
         Raises InvalidRegime for a profile rebuilt from a grid, which has none.
         """
         s = np.atleast_1d(np.asarray(s, dtype=_LD))
@@ -334,10 +335,6 @@ class Profile:
                 "constant solution carries no even potential branch"
             )
         dense = self._dense()
-        if s.size <= support.ROW_BLOCK:
-            sign = np.where(s < 0, _LD(-1.0), _LD(1.0))
-            y = dense(np.abs(s))
-            return y[:, 0], sign * y[:, 1], y[:, 2], sign * y[:, 3]
         y = np.empty((s.size, 4), dtype=_LD)
         for rows in support.row_blocks(s.size):
             block = s[rows]

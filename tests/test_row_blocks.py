@@ -67,8 +67,12 @@ def test_sample_base_is_independent_of_the_block_size(monkeypatch):
     s[[3, 10]] = LD(0.0), LD(-0.0)  # r' and lam0' take the sign of s
     s[-1] = prof.s_max  # the last block's one point, at the window's end
     small, whole = _by_block_size(monkeypatch, lambda: prof.sample_base(s))
-    for name, a, b in zip(("r", "rp", "lam0", "lam0p"), small, whole):
-        assert _same_bits(a, b), name
+    # One dense-output call over the whole query, with the parity relations.
+    y = prof._dense()(np.abs(s))
+    sign = np.where(s < 0, LD(-1.0), LD(1.0))
+    direct = (y[:, 0], sign * y[:, 1], y[:, 2], sign * y[:, 3])
+    for name, a, b, c in zip(("r", "rp", "lam0", "lam0p"), small, whole, direct):
+        assert _same_bits(a, b) and _same_bits(b, c), name
 
 
 def test_csv_bytes_are_independent_of_the_block_size(monkeypatch, tmp_path):
