@@ -10,13 +10,14 @@ Subcommands
     example2       end-to-end reflection-quotient domain with verification
 
 A command computes, writes its CSVs and returns (exit code, payload,
-summary line).  One runner, ``_run_task``, does the rest for a single run
-and for every entry of a ``"sweep": [...]`` config: it validates the config
-against the command's keys in ``_COMMANDS``, writes ``<tag>.json``, prints
-the summary line, and maps an exception to its exit code and one ``error:``
-line on stderr.  A sweep runs its entries in contiguous chunks, in this
-process or on a process pool; each chunk first integrates its entries'
-profiles as one batch.
+summary line), the payload holding only the numbers it computed.  One runner,
+``_run_task``, does the rest for a single run and for every entry of a
+``"sweep": [...]`` config: it validates the config against the command's
+keys in ``_COMMANDS``, writes ``<tag>.json`` (the head ``command``,
+``params`` and ``tolerances``, then the payload), prints the summary line,
+and maps an exception to its exit code and one ``error:`` line on stderr.
+A sweep runs its entries in contiguous chunks, in this process or on a
+process pool; each chunk first integrates its entries' profiles as one batch.
 
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
 3 numerical failure or an unexpected internal error.
@@ -192,13 +193,6 @@ def _params_from(config: dict) -> OdeParams:
     return OdeParams(n=config["n"], R=float(config["R"]), a=float(config["a"]))
 
 
-def _effective_tols(config: dict, overrides: dict, defaults: dict) -> dict:
-    tols = dict(defaults)
-    tols.update(config.get("tolerances", {}))
-    tols.update(overrides)
-    return {k: float(v) for k, v in tols.items()}
-
-
 _PARAM_KEYS = {"n": _want_int, "R": _want_num, "a": _want_num}
 _COMMON_OPT = {"tolerances": _want_tols, "tag": _want_tag}
 
@@ -218,7 +212,7 @@ def _profile_request(command: str, config: dict):
     or None when the entry has none, or its config fails validation or the
     command's up-front check (see ``_COMMANDS``).  The commands with an
     anchor ``r0`` integrate the profile anchored there first."""
-    _, required, optional, check = _COMMANDS[command]
+    _, required, optional, check, _ = _COMMANDS[command]
     if "r0" not in required:
         return None
     try:
@@ -275,8 +269,7 @@ def _roots_record(profile: Profile) -> dict:
 
 
 def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    params = _params_from(config)
-    prof = integrate_profile(params, float(config["r0"]), _s_max("construct", config))
+    prof = integrate_profile(ctx["params"], float(config["r0"]), _s_max("construct", config))
     roots = None
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
@@ -286,7 +279,6 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
     csv_name = f"{ctx['tag']}.csv"
     write_profile_csv(os.path.join(ctx["out"], csv_name), export)
     payload = {
-        "params": {"n": params.n, "R": params.R, "a": params.a},
         "r0": float(config["r0"]),
         "C": None if prof.constant_solution else float(prof.C),
         "s_max": prof.s_max,
@@ -297,7 +289,6 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
             "step": None if step is None else float(step),
         },
         "roots": roots,
-        "tolerances": _effective_tols(config, ctx["tols"], {}),
         "outputs": {"csv": csv_name},
         "diagnostics": {
             k: v for k, v in prof.diagnostics.items() if isinstance(v, (int, float))
@@ -309,52 +300,38 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
     )
 
 
-_VERIFY_DEFAULTS = {"critical": 1e-8, "scal": 1e-8, "weyl": 1e-8,
-                    "einstein": 1e-8, "fiber": 1e-8}
+_VERIFY_DEFAULTS = dict.fromkeys(TOLERANCE_NAMES, 1e-8)
 
 
 def _run_verification(profile: Profile, fiber, interval, tols: dict) -> tuple[str, dict]:
     report = verify_critical(
         profile, fiber, interval=interval, fiber_tol=tols["fiber"]
     )
-    scal_allow = tols["scal"] * (1.0 + abs(profile.params.R))
-    checks = {
-        "max_critical_residual": (report.max_critical_residual, tols["critical"]),
-        "max_scal_deviation": (report.max_scal_deviation, scal_allow),
-        "max_weyl_residual": (report.max_weyl_residual, tols["weyl"]),
+    residuals = {k: v for k, v in report.as_dict().items() if k != "tolerances"}
+    allowances = {
+        "max_critical_residual": tols["critical"],
+        "max_scal_deviation": tols["scal"] * (1.0 + abs(profile.params.R)),
+        "max_weyl_residual": tols["weyl"],
+        "max_einstein_residual": tols["einstein"],
     }
-    if report.max_einstein_residual is not None:
-        checks["max_einstein_residual"] = (
-            report.max_einstein_residual,
-            tols["einstein"],
-        )
-    verdict = "pass"
-    residuals = {"grid_size": report.grid_size}
-    for name, (value, allow) in checks.items():
-        residuals[name] = value
-        if value > allow:
-            verdict = "fail"
-    if report.max_einstein_residual is None:
-        residuals["max_einstein_residual"] = None
-    return verdict, residuals
+    failed = any(
+        residuals[name] is not None and residuals[name] > allow
+        for name, allow in allowances.items()
+    )
+    return ("fail" if failed else "pass"), residuals
 
 
 def cmd_verify(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    params = _params_from(config)
-    tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
+    params = ctx["params"]
     profile = profile_from_arrays(params, read_profile_csv(config["profile_csv"]))
     fiber = FiberSpec(
         dim=config.get("fiber_dim", params.n - 1),
         kappa0=float(config.get("kappa0", profile.kappa0)),
     )
-    interval = config.get("interval")
-    verdict, residuals = _run_verification(profile, fiber, interval, tols)
-    payload = {
-        "params": {"n": params.n, "R": params.R, "a": params.a},
-        "residuals": residuals,
-        "verdict": verdict,
-        "tolerances": tols,
-    }
+    verdict, residuals = _run_verification(
+        profile, fiber, config.get("interval"), ctx["tolerances"]
+    )
+    payload = {"residuals": residuals, "verdict": verdict}
     return (0 if verdict == "pass" else 1), payload, (
         f"verify: {verdict} "
         f"(critical={residuals['max_critical_residual']:.3e}, "
@@ -376,13 +353,13 @@ def _fiber_from(config: dict):
 
 def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
     domain = build_two_boundary_domain(
-        _params_from(config),
+        ctx["params"],
         float(config["r0"]),
         float(config["zeta1"]),
         s_max=_s_max("match", config),
         fiber=_fiber_from(config),
     )
-    payload = {"tolerances": _effective_tols(config, ctx["tols"], {}), **domain.to_dict()}
+    payload = domain.to_dict()
     if config.get("write_profile", False):
         csv_name = f"{ctx['tag']}.csv"
         write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
@@ -407,12 +384,8 @@ def _spectrum_check(params: OdeParams, config: dict) -> None:
 
 
 def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    params = _params_from(config)
+    params = ctx["params"]
     num = config.get("num", 512)
-    payload = {
-        "params": {"n": params.n, "R": params.R, "a": params.a},
-        "tolerances": _effective_tols(config, ctx["tols"], {}),
-    }
     if config.get("signs", False):
         report = verify_eigenvalue_signs(
             params,
@@ -421,7 +394,7 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
             s_max=_s_max("spectrum", config),
             num=num,
         )
-        payload["signs"] = report.as_dict()
+        payload = {"signs": report.as_dict()}
         return (0 if report.consistent else 1), payload, (
             f"spectrum: phase={report.phase} matched={report.matched.sign} "
             f"consistent={report.consistent}"
@@ -431,7 +404,7 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
     result = first_dirichlet_eigenvalue(prof, tuple(config["interval"]), num=num)
-    payload["spectral"] = result.as_dict()
+    payload = {"spectral": result.as_dict()}
     if config.get("eigenvector_csv", False):
         csv_name = f"{ctx['tag']}_eigenvector.csv"
         write_csv(
@@ -443,14 +416,11 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
 
 def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict, str]:
     chart = schwarzschild_form(
-        _params_from(config),
+        ctx["params"],
         kappa0=float(config.get("kappa0", 1.0)),
         s_max=_s_max("schwarzschild", config),
     )
-    payload = {
-        "tolerances": _effective_tols(config, ctx["tols"], {}),
-        **chart.to_dict(),
-    }
+    payload = chart.to_dict()
     if "zeta1" in config:
         m = chart.match(float(config["zeta1"]))
         payload["match"] = {
@@ -465,35 +435,31 @@ def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict, str]:
     )
 
 
-def _certify(domain, tols: dict, ctx: dict) -> tuple[str, dict, dict]:
+def _certify(domain, ctx: dict) -> tuple[str, dict, dict]:
     """Verify and export a built domain: its verdict, residuals and payload."""
     verdict, residuals = _run_verification(
-        domain.profile, domain.fiber, domain.interval, tols
+        domain.profile, domain.fiber, domain.interval, ctx["tolerances"]
     )
     csv_name = f"{ctx['tag']}.csv"
     write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
-    params = domain.profile.params
     payload = {
-        "params": {"n": params.n, "R": params.R, "a": params.a},
         "domain": domain.to_dict(),
         "residuals": residuals,
         "verdict": verdict,
-        "tolerances": tols,
         "outputs": {"csv": csv_name},
     }
     return verdict, residuals, payload
 
 
 def cmd_example1(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     domain = build_two_boundary_domain(
-        _params_from(config),
+        ctx["params"],
         float(config["r0"]),
         float(config["zeta1"]),
         s_max=_s_max("example1", config),
         fiber=_fiber_from(config),
     )
-    verdict, residuals, payload = _certify(domain, tols, ctx)
+    verdict, residuals, payload = _certify(domain, ctx)
     lo, hi = domain.interval
     return (0 if verdict == "pass" else 1), payload, (
         f"example1: {verdict} interval=[{lo:.6g}, {hi:.6g}] "
@@ -502,14 +468,13 @@ def cmd_example1(config: dict, ctx: dict) -> tuple[int, dict, str]:
 
 
 def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict, str]:
-    tols = _effective_tols(config, ctx["tols"], _VERIFY_DEFAULTS)
     domain = build_quotient_domain(
-        _params_from(config),
+        ctx["params"],
         float(config["r0"]),
         s_max=_s_max("example2", config),
         fiber=_fiber_from(config),
     )
-    verdict, residuals, payload = _certify(domain, tols, ctx)
+    verdict, residuals, payload = _certify(domain, ctx)
     return (0 if verdict == "pass" else 1), payload, (
         f"example2: {verdict} theta={domain.interval[1]:.6g} "
         f"critical={residuals['max_critical_residual']:.3e}"
@@ -517,8 +482,9 @@ def cmd_example2(config: dict, ctx: dict) -> tuple[int, dict, str]:
 
 
 # Each command: (function, required config keys, optional config keys,
-# up-front check), the keys mapped to their checks.  _run_task validates a
-# config against its command's keys before it calls the function.  The
+# up-front check, tolerance defaults), the keys mapped to their checks.
+# _run_task validates a config against its command's keys before it calls the
+# function, and resolves the tolerances over the command's defaults.  The
 # up-front check, ``check(params, config)`` or None, is the one the command's
 # builder makes before it integrates its profile: _profile_request leaves a
 # sweep entry that fails it out of its sweep's batch.
@@ -528,18 +494,21 @@ _COMMANDS = {
         dict(_PARAM_KEYS, r0=_want_num),
         dict(_COMMON_OPT, C=_want_num, s_max=_want_num, grid_step=_want_num),
         None,
+        {},
     ),
     "verify": (
         cmd_verify,
         dict(_PARAM_KEYS, profile_csv=_want_str),
         dict(_COMMON_OPT, kappa0=_want_num, fiber_dim=_want_int, interval=_want_interval),
         None,
+        _VERIFY_DEFAULTS,
     ),
     "match": (
         cmd_match,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber, write_profile=_want_bool),
         lambda params, _: require_two_boundary(params),
+        {},
     ),
     "spectrum": (
         cmd_spectrum,
@@ -549,24 +518,28 @@ _COMMANDS = {
             num=_want_int, signs=_want_bool, eigenvector_csv=_want_bool,
         ),
         _spectrum_check,
+        {},
     ),
     "schwarzschild": (
         cmd_schwarzschild,
         dict(_PARAM_KEYS),
         dict(_COMMON_OPT, kappa0=_want_num, s_max=_want_num, zeta1=_want_num),
         None,
+        {},
     ),
     "example1": (
         cmd_example1,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
         lambda params, _: require_two_boundary(params),
+        _VERIFY_DEFAULTS,
     ),
     "example2": (
         cmd_example2,
         dict(_PARAM_KEYS, r0=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
         lambda params, _: require_quotient(params),
+        _VERIFY_DEFAULTS,
     ),
 }
 
@@ -587,16 +560,24 @@ def _exit_for(exc: WarpcritError) -> int:
 def _run_task(command: str, config: dict, ctx: dict) -> dict:
     """Run one command and return its sweep record, ``{"tag", "exit"[, "error"]}``.
 
-    The config is validated against the command's keys first.  Any
-    exception other than a toolkit error is an internal error: exit 3, and
-    one line naming its class and innermost frame instead of a traceback.
+    The config is validated against the command's keys first; its parameters
+    and tolerances, resolved once here, reach the command in ``ctx`` and
+    head the envelope.  Any exception other than a toolkit error is an
+    internal error: exit 3, and one line naming its class and innermost frame
+    instead of a traceback.
     """
     tag = config.get("tag", "profile" if command == "construct" else command)
-    run, required, optional, _ = _COMMANDS[command]
+    run, required, optional, _, defaults = _COMMANDS[command]
     try:
         _validate(config, required, optional)
-        code, payload, line = run(config, dict(ctx, tag=tag))
-        write_envelope(os.path.join(ctx["out"], f"{tag}.json"), {"command": command, **payload})
+        params = _params_from(config)
+        # The command's defaults, then the config's tolerances, then --tol.
+        tols = {**defaults, **config.get("tolerances", {}), **ctx["tols"]}
+        tols = {k: float(v) for k, v in tols.items()}
+        code, payload, line = run(config, dict(ctx, tag=tag, params=params, tolerances=tols))
+        head = {"command": command, "tolerances": tols,
+                "params": {"n": params.n, "R": params.R, "a": params.a}}
+        write_envelope(os.path.join(ctx["out"], f"{tag}.json"), {**head, **payload})
         print(line)
         return {"tag": tag, "exit": code}
     except WarpcritError as exc:

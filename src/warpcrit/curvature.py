@@ -36,6 +36,7 @@ from .profiles import (
     potential_accel,
     warp_accel,
 )
+from .serialize import record_dict
 from .support import row_blocks
 
 __all__ = [
@@ -88,14 +89,7 @@ class ResidualReport:
     tolerances: dict
 
     def as_dict(self) -> dict:
-        return {
-            "max_critical_residual": self.max_critical_residual,
-            "max_scal_deviation": self.max_scal_deviation,
-            "max_weyl_residual": self.max_weyl_residual,
-            "max_einstein_residual": self.max_einstein_residual,
-            "grid_size": self.grid_size,
-            "tolerances": dict(self.tolerances),
-        }
+        return record_dict(self)
 
 
 class LevelSetData(NamedTuple):

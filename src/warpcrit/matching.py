@@ -54,6 +54,7 @@ from .profiles import (
     warp_accel,
 )
 from .rk45 import hermite_quintic
+from .serialize import record_dict
 from .support import bisect_root, gauss_legendre
 
 __all__ = [
@@ -161,22 +162,9 @@ class MatchedDomain:
             "r0": self.profile.r0,
             "C": self.profile.C,
             "interval": list(self.interval),
-            "fiber": {
-                "dim": self.fiber.dim,
-                "kappa0": self.fiber.kappa0,
-                "symmetry": self.fiber.symmetry,
-            },
+            "fiber": record_dict(self.fiber),
             "boundary_components": self.boundary_components,
-            "boundary": [
-                {
-                    "side": f.side,
-                    "s": f.s,
-                    "radius": f.radius,
-                    "mean_curvature": f.mean_curvature,
-                    "normal_derivative": f.normal_derivative,
-                }
-                for f in self.boundary
-            ],
+            "boundary": [record_dict(f) for f in self.boundary],
             "quotient": self.quotient,
         }
 
@@ -343,6 +331,14 @@ def _improper_from(
     """Integral of r/(r')^2 from s_from to +infinity for R < 0."""
     params = profile.params
     m = _tail_mass(params)
+    # Denominators of the formula error below; they underflow to zero only
+    # when |R| is too small for the estimate to be formed at all.
+    d5, d7 = (params.n + 1) * m**5, m**7
+    if d5 == 0.0 or d7 == 0.0:
+        raise OutOfRange(
+            f"|R| = {-params.R:.3g} is too small for the improper tail: its "
+            "remainder estimate underflows"
+        )
     body_in_window = _quad_between(profile, s_from, profile.s_max)
     r_target = _TAIL_RADIUS if r_truncation is None else float(r_truncation)
     for _ in range(24):
@@ -354,8 +350,11 @@ def _improper_from(
         tail = params.n * (params.n - 1) / ((-params.R) * rpS)
         total = body_in_window + body_out + tail
         # Formula error: next asymptotic orders, a r^-(n+1) and kappa0^2 r^-5.
-        err = abs(params.a) / ((params.n + 1) * m**5 * rS ** (params.n + 1))
-        err += profile.kappa0**2 / (m**7 * rS**5)
+        try:
+            err = abs(params.a) / (d5 * rS ** (params.n + 1))
+        except OverflowError:  # r^-(n+1) is then below any total
+            err = 0.0
+        err += profile.kappa0**2 / (d7 * rS**5)
         if err <= 1e-10 * abs(total):
             return total
         r_target *= 2.0

@@ -4,9 +4,11 @@ CSV carries the sampled profile in five fixed columns (s, r, rp, lam, lamp)
 at 17 significant digits, which reproduces IEEE doubles exactly on
 re-ingestion.  JSON envelopes are emitted with sorted keys, two-space
 indentation, and the same float formatting, so two runs of the same
-configuration differ only in the timestamp field.  All writes go through one
-atomic writer: a temporary file in the target directory, then an atomic
-replace.  Tables are rendered and written a block of rows at a time.
+configuration differ only in the timestamp field.  A result record enters
+an envelope through one rule, ``record_dict``: its fields, arrays left to the
+CSV tables.  All writes go through one atomic writer: a temporary file in the
+target directory, then an atomic replace.  Tables are rendered and written a
+block of rows at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,6 +28,7 @@ from .profiles import OdeParams, Profile, conserved_quantity
 from .support import row_blocks
 
 __all__ = [
+    "record_dict",
     "dump_json",
     "write_text_atomic",
     "write_envelope",
@@ -42,6 +46,22 @@ def _fmt(x: float) -> str:
         # The per-value form of write_csv's rendering; JSON never gets here.
         return "nan"
     return format(float(x), ".17g")
+
+
+def record_dict(record) -> dict:
+    """The fields of a dataclass record as an envelope dict.
+
+    Array fields are left out: arrays go to CSV tables, not envelopes.  A
+    nested record becomes a dict by the same rule, and a dict field is copied.
+    """
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            out[f.name] = record_dict(value)
+        elif not isinstance(value, np.ndarray):
+            out[f.name] = dict(value) if isinstance(value, dict) else value
+    return out
 
 
 def dump_json(obj, indent: int = 0) -> str:

@@ -59,6 +59,7 @@ from .profiles import (
     solve_potential,
     warp_accel,
 )
+from .serialize import record_dict
 
 __all__ = [
     "SpectralResult",
@@ -94,21 +95,11 @@ class SpectralResult:
     beta1: float
     gamma1_reduced: float
     gamma1_display: float
-    rayleigh: float
     nodes: np.ndarray = field(repr=False)
     eigenvector: np.ndarray = field(repr=False)
 
     def as_dict(self) -> dict:
-        return {
-            "gamma1": self.gamma1,
-            "error_bound": self.error_bound,
-            "sign": self.sign,
-            "h": self.h,
-            "interval": list(self.interval),
-            "beta1": self.beta1,
-            "gamma1_reduced": self.gamma1_reduced,
-            "gamma1_display": self.gamma1_display,
-        }
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -125,16 +116,7 @@ class EigenSignReport:
     consistent: bool
 
     def as_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "zero_mode": self.zero_mode.as_dict(),
-            "enclosing": self.enclosing.as_dict(),
-            "matched": self.matched.as_dict(),
-            "quotient": None if self.quotient is None else self.quotient.as_dict(),
-            "identity_residual": self.identity_residual,
-            "expected_matched_sign": self.expected_matched_sign,
-            "consistent": self.consistent,
-        }
+        return record_dict(self)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +224,7 @@ def _spectral_result(profile: Profile, interval, num: int, pair) -> SpectralResu
     """Richardson extrapolation and verdict from one step-halving pair."""
     params = profile.params
     n = params.n
-    (beta_h, _, _, _), (beta_h2, nodes, phi, ray) = pair
+    (beta_h, _, _, _), (beta_h2, nodes, phi, _) = pair
     beta = (4.0 * beta_h2 - beta_h) / 3.0
     dbeta = abs(beta_h - beta_h2) / 3.0 + _EIG_FLOOR * max(1.0, abs(beta))
     gamma = (n - 1) * beta - params.R
@@ -260,7 +242,6 @@ def _spectral_result(profile: Profile, interval, num: int, pair) -> SpectralResu
         beta1=beta,
         gamma1_reduced=beta - params.R / (n - 1),
         gamma1_display=(n - 1) * beta - params.R / (n - 1),
-        rayleigh=ray,
         nodes=nodes,
         eigenvector=phi,
     )

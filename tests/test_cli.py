@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from warpcrit import (
 from warpcrit import cli, profiles
 from warpcrit.cli import _resample, main
 from warpcrit.profiles import find_roots
-from warpcrit.serialize import _fmt, dump_json, write_csv
+from warpcrit.serialize import _fmt, dump_json, record_dict, write_csv
 from warpcrit.spectrum import first_dirichlet_eigenvalue
 
 
@@ -61,6 +62,29 @@ def test_dump_json_format_and_roundtrip():
     assert back == payload, "JSON round trip must be exact"
     assert text.index('"a"') < text.index('"b"') < text.index('"n"')
     assert "0.10000000000000001" in text, "floats print with 17 significant digits"
+
+
+def test_record_dict_rule():
+    @dataclass(frozen=True)
+    class Inner:
+        x: float
+        grid: np.ndarray
+
+    @dataclass(frozen=True)
+    class Outer:
+        inner: Inner
+        missing: Inner | None
+        table: dict
+        pair: tuple
+
+    table = {"k": 1.0}
+    d = record_dict(Outer(Inner(0.5, np.zeros(3)), None, table, (1.0, 2.0)))
+    # Arrays are left out, nested records follow the same rule, a dict is
+    # copied, and every other value is kept as it is.
+    assert d == {"inner": {"x": 0.5}, "missing": None, "table": table, "pair": (1.0, 2.0)}
+    assert d["table"] is not table
+    # A tuple renders as the list it replaces.
+    assert dump_json(d["pair"]) == dump_json([1.0, 2.0])
 
 
 def test_dump_json_rejects_nonfinite():
@@ -177,6 +201,22 @@ def test_construct_constant_solution(tmp_path):
     cols = read_profile_csv(str(tmp_path / "profile.csv"))
     assert np.all(np.isnan(cols["lam"])), "constant solution carries no potential"
     assert np.all(cols["r"] == 1.0)
+
+
+def test_construct_constant_solution_on_a_grid_step(tmp_path):
+    cfg = _write_config(
+        tmp_path / "c.json",
+        {"n": 3, "R": 6.0, "a": 1.0, "r0": 1.0, "s_max": 2.0, "grid_step": 0.01},
+    )
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 0
+    env = _read_json(tmp_path / "profile.json")
+    assert env["constant_solution"] is True
+    assert env["grid"] == {"points": 401, "step": 0.01}
+    cols = read_profile_csv(str(tmp_path / "profile.csv"))
+    assert cols["s"].size == 401
+    assert np.allclose(np.diff(cols["s"]), 0.01, rtol=0, atol=1e-15)
+    assert np.all(cols["r"] == 1.0) and np.all(cols["rp"] == 0.0)
+    assert np.all(np.isnan(cols["lam"])) and np.all(np.isnan(cols["lamp"]))
 
 
 def test_construct_grid_step(tmp_path):
@@ -346,6 +386,83 @@ def test_bad_flag_fails_cleanly(tmp_path, flags):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+_BASE = '"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0'
+_MATCH = '"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1.5, "s_max": 3.0'
+_OSC = '"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0'
+
+
+# (command, config text, flags): one case per input-error raise site.  The
+# configs are JSON text, so that a literal such as 1e400 reaches the parser;
+# "{cfg}" in a flag names the config file itself.
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        ("construct", "[1, 2]", []),
+        ("construct", f'{{{_BASE}, "sweep": {{}}}}', []),
+        ("construct", f'{{{_BASE}, "sweep": [1]}}', []),
+        ("construct", f'{{{_BASE}, "sweep": [{{}}], "workers": -1}}', []),
+        ("construct", f'{{{_BASE}, "tolerances": {{"critical": -1}}}}', []),
+        ("construct", f'{{{_BASE}, "tolerances": []}}', []),
+        ("construct", f'{{{_BASE}, "tag": "../x"}}', []),
+        ("verify", '{"n": 3, "R": -6.0, "a": 1.0, "profile_csv": ""}', []),
+        ("construct", '{"n": 1e400, "R": -6.0, "a": 1.0, "r0": 1.0}', []),
+        ("construct", '{"n": 3, "R": -6.0, "a": 1.0, "r0": "1"}', []),
+        ("spectrum", f'{{{_OSC}, "signs": 1}}', []),
+        ("spectrum", f'{{{_OSC}, "interval": [1, 0]}}', []),
+        ("match", f'{{{_MATCH}, "fiber": []}}', []),
+        ("match", f'{{{_MATCH}, "fiber": {{"dim": 2, "kappa0": 2.0, "colour": 1}}}}', []),
+        ("match", f'{{{_MATCH}, "fiber": {{"dim": 1, "kappa0": 2.0}}}}', []),
+        ("example2", f'{{{_OSC}, "fiber": {{"dim": 2, "kappa0": 1.0, "symmetry": false}}}}', []),
+        ("construct", f"{{{_BASE}}}", ["--out", "{cfg}"]),
+        ("construct", f"{{{_BASE}}}", ["--tol", "critical"]),
+        ("construct", f"{{{_BASE}}}", ["--tol", "critical=abc"]),
+        ("construct", f"{{{_BASE}}}", ["--grid-step", "-1"]),
+        ("construct", f"{{{_BASE}}}", ["--grid-step", "1e-9"]),
+    ],
+    ids=[
+        "root_list", "sweep_object", "sweep_entry_number", "workers_negative",
+        "tolerance_negative", "tolerances_list", "tag_parent", "profile_csv_empty",
+        "n_1e400", "r0_string", "signs_number", "interval_reversed", "fiber_list",
+        "fiber_unknown_key", "fiber_dim_1", "example2_no_involution", "out_is_file",
+        "tol_no_value", "tol_not_number", "grid_step_negative", "grid_step_too_fine",
+    ],
+)
+def test_input_error_exits_2_with_one_line(tmp_path, capsys, command, text, flags):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv + [f.format(cfg=cfg) for f in flags]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "internal error" not in err and "Traceback" not in err
+    assert cfg.read_text() == text
+    assert not out.exists() or list(out.iterdir()) == [], "no envelope may be written"
+
+
+# Inputs whose improper-tail remainder estimate overflowed (the first three)
+# or underflowed (the last): each must finish without an internal error.
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("match", {"n": 100, "R": -6.0, "a": 1.0, "r0": 1.0, "zeta1": 1.0, "s_max": 3.0}),
+        ("match", {"n": 1000, "R": -6.0, "a": 6.0, "r0": 1.0, "zeta1": 3.0}),
+        ("schwarzschild", {"n": 1000, "R": -3.0, "a": 0.5, "s_max": 2.0}),
+        ("match", {"n": 3, "R": -1e-300, "a": 1.0, "r0": 1.0, "zeta1": 1.0}),
+    ],
+    ids=["n100", "n1000", "schwarzschild_n1000", "R_tiny"],
+)
+def test_improper_tail_inputs_exit_cleanly(tmp_path, capsys, command, config):
+    cfg = _write_config(tmp_path / "c.json", config)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    _, err = capsys.readouterr()
+    assert code in (0, 2), err
+    assert len(err.splitlines()) == (code == 2), err
+    assert "internal error" not in err
 
 
 def test_unknown_tol_name_exits_2(tmp_path):
@@ -559,6 +676,24 @@ def test_example2_command(tmp_path):
     assert env["verdict"] == "pass"
     assert env["domain"]["boundary_components"] == 1
     assert env["domain"]["quotient"]["free"] is True
+
+
+def test_fiber_key_reaches_the_domain(tmp_path):
+    # The profile of the match config has kappa0 = 2a = 2.
+    fiber = {"dim": 2, "kappa0": 2.0}
+    cfg = _write_config(tmp_path / "m.json", dict(_SMALL_CONFIGS["match"], fiber=fiber))
+    assert main(["match", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "match.json")["fiber"] == dict(fiber, symmetry=False)
+    # An explicit round fiber with its involution is example2's default.
+    plain = _write_config(tmp_path / "plain.json", _SMALL_CONFIGS["example2"])
+    assert main(["example2", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+    kappa0 = _read_json(tmp_path / "plain" / "example2.json")["domain"]["fiber"]["kappa0"]
+    explicit = _write_config(
+        tmp_path / "explicit.json",
+        dict(_SMALL_CONFIGS["example2"], fiber={"dim": 2, "kappa0": kappa0, "symmetry": True}),
+    )
+    assert main(["example2", "--config", explicit, "--out", str(tmp_path / "explicit")]) == 0
+    assert _files(tmp_path / "explicit") == _files(tmp_path / "plain")
 
 
 # ----------------------------------------------------------------------
@@ -905,6 +1040,23 @@ class _SequentialPool:
 
     def map(self, fn, *iterables):
         return list(map(fn, *iterables))
+
+
+def test_sweep_without_workers_key_uses_the_cores(tmp_path, monkeypatch):
+    # No "workers": one worker per core, at most one per entry and eight.
+    pools = []
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", lambda max_workers: pools.append(max_workers) or _SequentialPool()
+    )
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    config = {"n": 3, "a": 1.0, "s_max": 2.0, "sweep": _SWEEPS[0][2]}
+    default = _write_config(tmp_path / "d.json", config)
+    assert main(["construct", "--config", default, "--out", str(tmp_path / "default")]) == 3
+    assert pools == [3]
+    one = _write_config(tmp_path / "one.json", dict(config, workers=1))
+    assert main(["construct", "--config", one, "--out", str(tmp_path / "one")]) == 3
+    assert pools == [3]
+    assert _files(tmp_path / "default") == _files(tmp_path / "one")
 
 
 def test_pooled_sweep_batches_each_chunk(tmp_path, monkeypatch):

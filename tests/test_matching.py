@@ -105,6 +105,24 @@ def test_tail_truncation_doubling(neg_profile):
     assert rel <= 1e-8, f"truncation doubling moved the integral by {rel:.3e}"
 
 
+def test_improper_tail_of_a_high_dimension():
+    # At n = 100 the remainder term r^-(n+1) overflows in float arithmetic
+    # at the truncation radius; it is then below any total and counts as 0.
+    profile = integrate_profile(OdeParams(n=100, R=-6.0, a=1.0), r0=1.0, s_max=3.0)
+    whole = improper_integral(profile, 1.0)
+    split = improper_integral(profile, 1.0, 2.0) + improper_integral(profile, 2.0)
+    assert math.isfinite(whole) and whole > 0.0
+    assert whole == pytest.approx(split, rel=1e-9)
+
+
+def test_improper_tail_remainder_underflow_is_an_input_error():
+    # m^5 and m^7 underflow to 0 at |R| = 1e-300: the remainder estimate
+    # cannot be formed, which is reported at once.
+    profile = integrate_profile(OdeParams(n=3, R=-1e-300, a=1.0), r0=1.0, s_max=2.0)
+    with pytest.raises(OutOfRange, match="underflows"):
+        improper_integral(profile, 1.0)
+
+
 def test_improper_integral_error_paths(flat_profile, neg_profile, pos_profile):
     with pytest.raises(DivergentIntegral):
         improper_integral(flat_profile, 1.0)
@@ -228,6 +246,34 @@ def test_table_samples_dense_output_only_at_theta(monkeypatch):
 def test_cumulative_zero_at_theta(flat_profile):
     g = cumulative_integral(flat_profile, flat_profile.theta)
     assert abs(g) < 1e-12, f"G(theta) = {g!r}"
+
+
+def test_cumulative_past_the_last_table_node(neg_profile):
+    # Between the table's last node and s_max, G adds a direct quadrature.
+    table = _get_table(neg_profile)
+    last = float(table.xs[-1])
+    assert last < neg_profile.s_max
+    x = 0.5 * (last + neg_profile.s_max)
+    direct = improper_integral(neg_profile, neg_profile.theta, x)
+    assert cumulative_integral(neg_profile, x) == pytest.approx(direct, rel=1e-12)
+
+
+def test_partner_root_in_the_last_base_step():
+    # For R > 0 and an outer root next to the anchor, the partner root lies
+    # between the table's last node and the critical point s1, where the
+    # table solve walks toward s1 before it bisects.
+    profile = integrate_profile(OdeParams(n=3, R=6.0, a=1.0), r0=0.7, s_max=6.0)
+    table = _get_table(profile)
+    last = float(table.xs[-1])
+    assert table.limit < profile.s_max
+    zeta1 = 1.2 * float(table.xs[0])
+    assert -cumulative_integral(profile, zeta1) > cumulative_integral(profile, last)
+    res = match_boundary(profile, zeta1)
+    y = -res.zeta2
+    assert last < y < table.limit
+    assert res.discrepancy <= 1e-8 * abs(res.zeta2), f"routes disagree by {res.discrepancy:.3e}"
+    direct = improper_integral(profile, profile.theta, y)
+    assert cumulative_integral(profile, y) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["flat_profile", "neg_profile", "pos_profile"])

@@ -213,7 +213,10 @@ def test_report_serializes():
     report = verify_eigenvalue_signs(POS, 0.8, 0.0, num=256)
     d = report.as_dict()
     assert d["zero_mode"]["sign"] == "ZERO"
-    assert set(d["matched"]) >= {"gamma1", "error_bound", "sign", "h", "beta1"}
+    assert set(d["matched"]) == {
+        "gamma1", "error_bound", "sign", "h", "interval", "beta1",
+        "gamma1_reduced", "gamma1_display",
+    }
 
 
 # ----------------------------------------------------------------------
