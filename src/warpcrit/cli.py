@@ -256,9 +256,7 @@ def _roots_record(profile: Profile) -> dict:
     return {
         "rp_roots": [float(x) for x in roots.rp_roots],
         "rp_kinds": list(roots.rp_kinds),
-        "lam_roots": None
-        if roots.lam_roots is None
-        else [float(x) for x in roots.lam_roots],
+        "lam_roots": [float(x) for x in roots.lam_roots],
         "period": roots.period,
     }
 

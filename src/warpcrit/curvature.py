@@ -199,16 +199,20 @@ def curvature_at(profile: Profile, fiber: FiberSpec | None, s: float) -> Curvatu
 
 
 def _grid_slice(profile: Profile, interval):
-    """Grid arrays restricted to an interval (full grid when None)."""
+    """Grid arrays restricted to an interval (full grid when None); OutOfGrid
+    when the interval holds no grid point, AllPointsMasked when the pole mask
+    of a pole-anchored grid leaves none."""
     s = profile.grid
     keep = np.ones(s.shape, dtype=bool)
     if interval is not None:
         lo, hi = float(interval[0]), float(interval[1])
         keep &= (np.asarray(s, dtype=float) >= lo) & (np.asarray(s, dtype=float) <= hi)
+        if not np.any(keep):
+            raise OutOfGrid("no grid points inside the requested interval")
     if profile.degenerate_origin:
         keep &= np.asarray(profile.r, dtype=float) > 0.0
-    if not np.any(keep):
-        raise AllPointsMasked("no grid points inside the requested interval")
+        if not np.any(keep):
+            raise AllPointsMasked("every grid point sits at the degenerate pole")
     lam = profile.lam[keep] if profile.lam is not None else None
     lamp = profile.lamp[keep] if profile.lamp is not None else None
     return s[keep], profile.r[keep], profile.rp[keep], lam, lamp

@@ -257,13 +257,10 @@ def _base_panels(profile: Profile, nodes: np.ndarray) -> np.ndarray:
     Returns the same ``_SUBDIV`` sub-panel integrals per node interval as
     ``_panel_quad(profile.sample_base, _subdivided(nodes))``.  Intervals that
     are full base steps go through ``_step_basis`` in blocks of
-    ``_STEP_BLOCK`` steps; the others through ``Profile.sample_base``, as
-    does every interval of a closed-form profile.
+    ``_STEP_BLOCK`` steps; the others through ``Profile.sample_base``.
     """
-    base = profile._base
+    base = profile._dense()
     fine = _subdivided(nodes)
-    if base is None:
-        return _panel_quad(profile.sample_base, fine)
     ts = base.ts
     lens = np.diff(fine).reshape(-1, _SUBDIV)
     out = np.empty(lens.shape, dtype=_LD)
@@ -294,8 +291,6 @@ def _base_panels(profile: Profile, nodes: np.ndarray) -> np.ndarray:
 
 def _quad_between(profile: Profile, lo: float, hi: float) -> float:
     """Integral of r/(r')^2 over [lo, hi] on the base step panels."""
-    if hi <= lo:
-        return 0.0
     inner = profile.grid[(profile.grid > lo) & (profile.grid < hi)]
     nodes = np.concatenate([[_LD(lo)], np.asarray(inner, dtype=_LD), [_LD(hi)]])
     return float(np.sum(_base_panels(profile, nodes)))
@@ -325,9 +320,7 @@ def _tail_mass(params: OdeParams) -> float:
     return math.sqrt(-params.R / (params.n * (params.n - 1)))
 
 
-def _improper_from(
-    profile: Profile, s_from: float, r_truncation: float | None = None
-) -> float:
+def _improper_from(profile: Profile, s_from: float) -> float:
     """Integral of r/(r')^2 from s_from to +infinity for R < 0."""
     params = profile.params
     m = _tail_mass(params)
@@ -340,7 +333,7 @@ def _improper_from(
             "remainder estimate underflows"
         )
     body_in_window = _quad_between(profile, s_from, profile.s_max)
-    r_target = _TAIL_RADIUS if r_truncation is None else float(r_truncation)
+    r_target = _TAIL_RADIUS
     for _ in range(24):
         ext = extend_base(profile, r_target=r_target)
         nodes = _subdivided(ext.ts, 2)
@@ -354,7 +347,10 @@ def _improper_from(
             err = abs(params.a) / (d5 * rS ** (params.n + 1))
         except OverflowError:  # r^-(n+1) is then below any total
             err = 0.0
-        err += profile.kappa0**2 / (d7 * rS**5)
+        try:
+            err += profile.kappa0**2 / (d7 * rS**5)
+        except OverflowError:  # as above, an overflowing term counts as 0
+            pass
         if err <= 1e-10 * abs(total):
             return total
         r_target *= 2.0
@@ -368,17 +364,16 @@ def improper_integral(
     profile: Profile,
     s_from: float,
     s_to: float = math.inf,
-    *,
-    r_truncation: float | None = None,
 ) -> float:
     """Integral of r/(r')^2 over (s_from, s_to), s_to = +inf allowed for R < 0.
 
-    The integrand has non-integrable singularities at critical points of r,
-    so the open interval must avoid them (SingularEndpoint otherwise).  For
-    R >= 0 the improper integral diverges (DivergentIntegral).
-    ``r_truncation`` overrides the starting truncation radius of the
-    adaptive asymptotic tail (testing hook; the default is pushed outward
-    until the estimated tail-formula error is below 1e-10 of the total).
+    The range, or ``s_from`` of an improper one, must lie in the window
+    [s_min, s_max] (OutOfGrid otherwise), and the open interval must avoid
+    the critical points of r, where the integrand has non-integrable
+    singularities (SingularEndpoint).  For R >= 0 the improper integral
+    diverges (DivergentIntegral); for R < 0 its part beyond s_max runs on an
+    extension of the base to radius ``_TAIL_RADIUS``, doubled until the tail
+    formula's estimated error is below 1e-10 of the total.
     """
     if profile.constant_solution:
         raise SingularEndpoint("constant profile: r' vanishes identically")
@@ -389,12 +384,13 @@ def improper_integral(
                 "the improper integral of r/(r')^2 diverges for R >= 0 "
                 "(the integrand decays too slowly or r' returns to zero)"
             )
-        if s_from < profile.s_min:
+        if not profile.s_min <= s_from <= profile.s_max:
             raise OutOfGrid(
-                f"lower endpoint {s_from:.6g} outside profile window"
+                f"lower endpoint {s_from:.6g} outside profile window "
+                f"[{profile.s_min:.6g}, {profile.s_max:.6g}]"
             )
         _check_no_critical_points(profile, s_from, profile.s_max + 1.0)
-        return _improper_from(profile, s_from, r_truncation)
+        return _improper_from(profile, s_from)
     s_to = float(s_to)
     if s_to <= s_from:
         raise OutOfRange(f"empty or reversed range ({s_from:.6g}, {s_to:.6g})")
@@ -879,22 +875,6 @@ class SchwarzschildChart:
     mass: float
     profile: Profile
     exclusion: float | None  # exclusion radius (R < 0), else None
-
-    def w(self, r) -> np.ndarray:
-        """Denominator W(r) = 1 - c2 r^2 - (2a/(n-2)) r^(2-n)."""
-        p = self.params
-        r = np.asarray(r, dtype=float)
-        return 1.0 - p.c2 * r**2 - (2.0 * p.a / (p.n - 2)) * r ** (2 - p.n)
-
-    def coefficient(self, r) -> np.ndarray:
-        """Radial metric coefficient W(r)^-1 on r > horizon."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= self.horizon * (1 + 1e-14)):
-            raise OutOfRange(
-                "radial chart is valid strictly outside the horizon "
-                f"r = {self.horizon:.12g}"
-            )
-        return 1.0 / self.w(r)
 
     def match(self, zeta1: float) -> MatchResult:
         """Pair an outer boundary sphere with its reflected partner."""

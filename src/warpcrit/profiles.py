@@ -307,11 +307,12 @@ class Profile:
             )
 
     def _dense(self) -> DenseSolution:
-        """The integrator's dense base; a profile rebuilt from a grid has none."""
+        """The integrator's dense base: the one check that a profile has one,
+        which a constant solution, a closed form or a rebuilt grid lacks."""
         if self._base is None:
             raise InvalidRegime(
-                "profile has no dense base: one rebuilt from a grid can only be "
-                "evaluated at its stored nodes"
+                "profile has no dense base: a constant solution, a closed form "
+                "and a profile rebuilt from a grid carry none"
             )
         return self._base
 
@@ -323,17 +324,11 @@ class Profile:
         The query is evaluated one block of ``support.ROW_BLOCK`` points at a
         time into one preallocated array, so a long query holds one
         output-sized array plus one block of temporaries.
-        Raises InvalidRegime for a profile rebuilt from a grid, which has none.
+        Raises OutOfGrid outside the window and InvalidRegime (``_dense``)
+        for a profile without a dense base.
         """
         s = np.atleast_1d(np.asarray(s, dtype=_LD))
         self._check_window(s)
-        if self._closed_form is not None:
-            r, rp, lam, lamp = self._closed_form(s)
-            return r, rp, lam, lamp
-        if self.constant_solution:
-            raise DegenerateInitial(
-                "constant solution carries no even potential branch"
-            )
         dense = self._dense()
         y = np.empty((s.size, 4), dtype=_LD)
         for rows in support.row_blocks(s.size):
@@ -345,8 +340,9 @@ class Profile:
     def sample(self, s) -> ProfileValues:
         """Evaluate (r, r', lam, lam') at arbitrary arclengths in the window.
 
-        Raises OutOfGrid outside [s_min, s_max] and DegenerateInitial when no
-        potential is attached.
+        ``lam`` and ``lamp`` are None when no potential is attached.  Raises
+        OutOfGrid outside [s_min, s_max], and InvalidRegime for a profile
+        rebuilt from a grid, which has no dense base.
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=_LD))
         if self.constant_solution:
@@ -379,19 +375,16 @@ class Profile:
         where its values are stored, and bisected on the dense output.  For
         R > 0 the search is confined to (0, s1) with s1 the first positive
         critical point of r; for R <= 0 it runs over (0, s_max].  Raises
-        OutOfRange when no sign change is found (enlarge s_max).
+        OutOfRange when no sign change is found (enlarge s_max), and
+        InvalidRegime (``_dense``) for a profile without a dense base.
         """
         if self._theta is not None:
             return self._theta
         if self.constant_solution:
             raise DegenerateInitial("constant solution has no potential roots")
-        if self.degenerate_origin:
-            raise InvalidRegime(
-                "even potential branch undefined for pole-anchored profiles"
-            )
+        base = self._dense()
         s1 = find_roots(self).s1 if self.params.R > 0 else None
         f = lambda s: float(self.sample_base(s)[2][0])
-        base = self._dense()
         roots = _node_roots(
             base.ts, base.ys[:, 2], f, 1e-13, lo=1e-12, hi=self.s_max if s1 is None else s1
         )
@@ -623,10 +616,6 @@ def solve_potential(profile: Profile, C: float) -> Profile:
     C = float(C)
     if not math.isfinite(C):
         raise RangeError(f"family parameter must be finite, got {C!r}")
-    if profile._closed_form is not None:
-        raise InvalidRegime(
-            "pole-anchored closed-form profiles carry their potential already"
-        )
     if profile._lam0 is None:
         raise DegenerateInitial("profile carries no even potential branch")
 

@@ -24,8 +24,9 @@ from warpcrit import (
     verify_critical,
     write_profile_csv,
 )
-from warpcrit import cli, profiles
+from warpcrit import cli, profiles, support
 from warpcrit.cli import _resample, main
+from warpcrit.matching import schwarzschild_form
 from warpcrit.profiles import find_roots
 from warpcrit.serialize import _fmt, dump_json, record_dict, write_csv
 from warpcrit.spectrum import first_dirichlet_eigenvalue
@@ -154,6 +155,18 @@ def test_write_profile_csv_matches_per_value_reference(tmp_path, C):
         nan if C is None else prof.lam, nan if C is None else prof.lamp,
     )
     assert path.read_text() == _reference_csv("s,r,rp,lam,lamp", columns)
+
+
+def test_write_csv_failure_in_a_later_block_keeps_the_old_target(tmp_path, monkeypatch):
+    monkeypatch.setattr(support, "ROW_BLOCK", 4)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old,table\n1,2\n")
+    good = np.arange(10.0)
+    bad = np.array([*good[:-1], "x"], dtype=object)  # fails in the third block
+    with pytest.raises(ValueError):
+        write_csv(str(path), "a,b", (good, bad))
+    assert path.read_bytes() == b"old,table\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"], "no temp file may be left"
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +433,16 @@ _OSC = '"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0'
         ("construct", f"{{{_BASE}}}", ["--tol", "critical=abc"]),
         ("construct", f"{{{_BASE}}}", ["--grid-step", "-1"]),
         ("construct", f"{{{_BASE}}}", ["--grid-step", "1e-9"]),
+        ("construct", '{"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 4.0}',
+         ["--grid-step", "5"]),
+        ("match", '{"n": 3, "R": 6.0, "a": 1.0, "r0": 1.0, "zeta1": 0.5}', []),
+        ("match", '{"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1e-300, "s_max": 3.0}',
+         []),
+        ("schwarzschild", '{"n": 3, "R": -6.0, "a": 1.0, "s_max": 0.5}', []),
+        ("spectrum", '{"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 0.5, "signs": true}',
+         []),
+        ("construct", '{"n": 1000, "R": -6.0, "a": 1.0, "r0": 1e-10}', []),
+        ("construct", '{"n": 3, "R": 1e300, "a": 1.0, "r0": 1.0}', []),
     ],
     ids=[
         "root_list", "sweep_object", "sweep_entry_number", "workers_negative",
@@ -427,9 +450,15 @@ _OSC = '"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0'
         "n_1e400", "r0_string", "signs_number", "interval_reversed", "fiber_list",
         "fiber_unknown_key", "fiber_dim_1", "example2_no_involution", "out_is_file",
         "tol_no_value", "tol_not_number", "grid_step_negative", "grid_step_too_fine",
+        "grid_step_past_window", "match_constant_solution", "zeta1_1e-300",
+        "schwarzschild_short_window", "signs_short_window", "n1000_tiny_r0", "R_1e300",
     ],
 )
 def test_input_error_exits_2_with_one_line(tmp_path, capsys, command, text, flags):
+    _assert_one_line_input_error(tmp_path, capsys, command, text, flags)
+
+
+def _assert_one_line_input_error(tmp_path, capsys, command, text, flags=()):
     cfg = tmp_path / "c.json"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -444,8 +473,42 @@ def test_input_error_exits_2_with_one_line(tmp_path, capsys, command, text, flag
     assert not out.exists() or list(out.iterdir()) == [], "no envelope may be written"
 
 
-# Inputs whose improper-tail remainder estimate overflowed (the first three)
-# or underflowed (the last): each must finish without an internal error.
+# (profile CSV text, extra verify keys): one case per input check that a
+# profile CSV meets on its way to verification.
+@pytest.mark.parametrize(
+    "csv, extra",
+    [
+        ("s,r,rp,lam,lamp\n-1,1.5,-1,0.5,0.5\n0,one,0,1,0\n", {}),
+        ("s,r,rp,lam,lamp\n0,1,0,1,0\n", {}),
+        ("s,r,rp,lam,lamp\n-1,1.5,-1,0.5\n0,1,0,1\n", {}),
+        ("s,r,rp,lam,lamp\n0,1.5,-1,0.5,0.5\n0,1,0,1,0\n", {}),
+        ("s,r,rp,lam,lamp\n-1,nan,-1,0.5,0.5\n0,1,0,1,0\n", {}),
+        ("s,r,rp,lam,lamp\n-1,1.5,-1,nan,0.5\n0,1,0,1,0\n", {}),
+        ("s,r,rp,lam,lamp\n-1,-1,-1,0.5,0.5\n0,0,0,1,0\n", {}),
+        ("s,r,rp,lam,lamp\n-1,1.5,-1,0.5,0.5\n0,1,0,1,0\n", {"interval": [2.0, 3.0]}),
+    ],
+    ids=["non_numeric", "one_row", "four_columns", "s_not_increasing", "r_nan",
+         "lam_partly_nan", "r_not_positive", "interval_without_grid_points"],
+)
+def test_verify_input_error_exits_2_with_one_line(tmp_path, capsys, csv, extra):
+    path = tmp_path / "p.csv"
+    path.write_text(csv)
+    config = {"n": 3, "R": -6.0, "a": 1.0, "profile_csv": str(path), **extra}
+    _assert_one_line_input_error(tmp_path, capsys, "verify", json.dumps(config))
+
+
+def test_verify_of_a_constant_solution_export_exits_2(tmp_path, capsys):
+    params = {"n": 3, "R": 6.0, "a": 1.0}
+    cfg = _write_config(tmp_path / "k.json", {**params, "r0": 1.0, "s_max": 1.0})
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = {**params, "profile_csv": str(tmp_path / "profile.csv")}
+    _assert_one_line_input_error(tmp_path, capsys, "verify", json.dumps(config))
+
+
+# Inputs whose improper-tail remainder estimate overflowed (the first three
+# and the last four) or underflowed (the fourth): each must finish without an
+# internal error.
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -453,8 +516,10 @@ def test_input_error_exits_2_with_one_line(tmp_path, capsys, command, text, flag
         ("match", {"n": 1000, "R": -6.0, "a": 6.0, "r0": 1.0, "zeta1": 3.0}),
         ("schwarzschild", {"n": 1000, "R": -3.0, "a": 0.5, "s_max": 2.0}),
         ("match", {"n": 3, "R": -1e-300, "a": 1.0, "r0": 1.0, "zeta1": 1.0}),
+        *(("schwarzschild", {"n": 3, "R": -6.0, "a": a}) for a in (1e170, 1e180, 1e200, 1e300)),
     ],
-    ids=["n100", "n1000", "schwarzschild_n1000", "R_tiny"],
+    ids=["n100", "n1000", "schwarzschild_n1000", "R_tiny",
+         "a_1e170", "a_1e180", "a_1e200", "a_1e300"],
 )
 def test_improper_tail_inputs_exit_cleanly(tmp_path, capsys, command, config):
     cfg = _write_config(tmp_path / "c.json", config)
@@ -650,6 +715,18 @@ def test_schwarzschild_command(tmp_path):
     env = _read_json(tmp_path / "schwarzschild.json")
     assert abs(env["horizon"] - 1.0) < 1e-10
     assert abs(env["horizon_from_polynomial"] - 1.0) < 1e-10
+
+
+def test_schwarzschild_command_with_a_match(tmp_path):
+    # The first chart of the benchmark's tail workload, without its jitter.
+    config = {"n": 3, "R": -6.0, "a": 1.0, "s_max": 3.0, "zeta1": 1.0}
+    cfg = _write_config(tmp_path / "w.json", config)
+    assert main(["schwarzschild", "--config", cfg, "--out", str(tmp_path)]) == 0
+    got = _read_json(tmp_path / "schwarzschild.json")["match"]
+    chart = schwarzschild_form(OdeParams(n=3, R=-6.0, a=1.0), s_max=3.0)
+    want = chart.match(1.0)
+    assert got == {k: getattr(want, k) for k in ("zeta1", "zeta2", "C", "discrepancy")}
+    assert got["discrepancy"] <= 1e-8 * abs(got["zeta2"])
 
 
 def test_example1_command(tmp_path):

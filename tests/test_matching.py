@@ -19,6 +19,7 @@ from warpcrit import (
     InvalidRegime,
     NoFreeInvolution,
     OdeParams,
+    OutOfGrid,
     OutOfRange,
     SingularEndpoint,
     VerificationError,
@@ -97,9 +98,10 @@ def test_oracle_tail_product_limit(cosh_profile):
         assert prod == pytest.approx(0.5, abs=1e-10), f"product at s={s}: {prod!r}"
 
 
-def test_tail_truncation_doubling(neg_profile):
+def test_tail_truncation_doubling(neg_profile, monkeypatch):
     base = improper_integral(neg_profile, 1.0)
-    far = improper_integral(neg_profile, 1.0, r_truncation=4000.0)
+    monkeypatch.setattr(matching, "_TAIL_RADIUS", 4000.0)
+    far = improper_integral(neg_profile, 1.0)
     rel = abs(far - base) / abs(base)
     print(f"tail doubling relative change = {rel:.3e}")
     assert rel <= 1e-8, f"truncation doubling moved the integral by {rel:.3e}"
@@ -134,6 +136,19 @@ def test_improper_integral_error_paths(flat_profile, neg_profile, pos_profile):
         improper_integral(neg_profile, 0.0, 1.0)  # anchor at endpoint
     s1 = 2.0  # generic span inside the window is fine
     assert improper_integral(neg_profile, 1.0, s1) > 0.0
+
+
+def test_improper_integral_past_the_window_is_out_of_grid():
+    params = OdeParams(n=3, R=-6.0, a=1.0)
+    short = integrate_profile(params, r0=1.0, s_max=4.0)
+    for s_from in (5.0, 50.0, -4.5):
+        with pytest.raises(OutOfGrid, match="outside profile window"):
+            improper_integral(short, s_from)
+    # The tail from s_max itself is the extension's part alone, and the tail
+    # from 5 is read on a window that holds 5.
+    assert improper_integral(short, 4.0) > 0.0
+    long = integrate_profile(params, r0=1.0, s_max=6.0)
+    assert improper_integral(long, 5.0) == pytest.approx(0.0090832, rel=1e-4)
 
 
 def test_finite_quadrature_against_step_halved_trapezoid(flat_profile):
@@ -546,11 +561,6 @@ def test_oracle_schwarzschild_horizon():
     assert chart.horizon_from_polynomial == pytest.approx(1.0, abs=1e-10)
     assert chart.mass == 0.5
     assert chart.exclusion is None
-    # Denominator is 1 - 1/r.
-    assert chart.w(2.0) == pytest.approx(0.5, abs=1e-14)
-    assert chart.coefficient(2.0) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(OutOfRange):
-        chart.coefficient(0.9)
 
 
 def test_schwarzschild_negative_curvature_has_exclusion():

@@ -406,6 +406,31 @@ def test_grid_backed_profile_refuses_off_grid_evaluation(params, entry):
         entry(profile_from_arrays(params, cols))
 
 
+_OSC = OdeParams(n=3, R=6.0, a=1.0)
+
+
+@pytest.mark.parametrize(
+    "make, theta_error",
+    [
+        (lambda: space_form_profile(-1, lambda_p=1.0, s_max=2.0), InvalidRegime),
+        (lambda: space_form_profile(1, lambda_p=0.0, s_max=2.0), InvalidRegime),
+        (lambda: integrate_profile(_OSC, critical_radius(_OSC), 2.0), DegenerateInitial),
+    ],
+    ids=["hyperbolic_ball", "spherical_ball", "constant_solution"],
+)
+def test_profiles_without_a_dense_base(make, theta_error):
+    # One check, Profile._dense, refuses every profile kind without a dense
+    # base; Profile.sample still evaluates them in closed form.
+    prof = make()
+    with pytest.raises(InvalidRegime, match="no dense base"):
+        prof.sample_base([0.5])
+    assert np.all(np.isfinite(np.asarray(prof.sample([0.5]).r, dtype=float)))
+    with pytest.raises(theta_error):
+        prof.theta
+    with pytest.raises(DegenerateInitial):
+        solve_potential(prof, 0.0)
+
+
 if __name__ == "__main__":
     import sys
 
