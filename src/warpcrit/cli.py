@@ -10,7 +10,10 @@ Subcommands
     example2       end-to-end reflection-quotient domain with verification
 
 A command computes, writes its CSVs and returns (exit code, payload,
-summary line), the payload holding only the numbers it computed.  One runner,
+summary line), the payload holding only the numbers it computed.  This
+module alone shapes envelopes: a result record enters a payload through
+``serialize.record_dict``, and the parameters through ``_params_record``,
+which the envelope head uses too.  One runner,
 ``_run_task``, does the rest for a single run and for every entry of a
 ``"sweep": [...]`` config: it validates the config against the command's
 keys in ``_COMMANDS``, writes ``<tag>.json`` (the head ``command``,
@@ -61,6 +64,7 @@ from .profiles import (
 from .serialize import (
     profile_from_arrays,
     read_profile_csv,
+    record_dict,
     write_csv,
     write_envelope,
     write_profile_csv,
@@ -193,6 +197,11 @@ def _params_from(config: dict) -> OdeParams:
     return OdeParams(n=config["n"], R=float(config["R"]), a=float(config["a"]))
 
 
+def _params_record(params: OdeParams) -> dict:
+    """The ``params`` record of an envelope: n, R and a."""
+    return {"n": params.n, "R": params.R, "a": params.a}
+
+
 _PARAM_KEYS = {"n": _want_int, "R": _want_num, "a": _want_num}
 _COMMON_OPT = {"tolerances": _want_tols, "tag": _want_tag}
 
@@ -305,7 +314,7 @@ def _run_verification(profile: Profile, fiber, interval, tols: dict) -> tuple[st
     report = verify_critical(
         profile, fiber, interval=interval, fiber_tol=tols["fiber"]
     )
-    residuals = {k: v for k, v in report.as_dict().items() if k != "tolerances"}
+    residuals = {k: v for k, v in record_dict(report).items() if k != "tolerances"}
     allowances = {
         "max_critical_residual": tols["critical"],
         "max_scal_deviation": tols["scal"] * (1.0 + abs(profile.params.R)),
@@ -349,6 +358,22 @@ def _fiber_from(config: dict):
     )
 
 
+def _domain_record(domain) -> dict:
+    """The envelope record of a matched domain: its profile's parameters,
+    anchor and C, the interval, fiber, boundary faces and quotient."""
+    profile = domain.profile
+    return {
+        "params": _params_record(profile.params),
+        "r0": profile.r0,
+        "C": profile.C,
+        "interval": list(domain.interval),
+        "fiber": record_dict(domain.fiber),
+        "boundary_components": domain.boundary_components,
+        "boundary": [record_dict(f) for f in domain.boundary],
+        "quotient": domain.quotient,
+    }
+
+
 def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
     domain = build_two_boundary_domain(
         ctx["params"],
@@ -357,7 +382,7 @@ def cmd_match(config: dict, ctx: dict) -> tuple[int, dict, str]:
         s_max=_s_max("match", config),
         fiber=_fiber_from(config),
     )
-    payload = domain.to_dict()
+    payload = _domain_record(domain)
     if config.get("write_profile", False):
         csv_name = f"{ctx['tag']}.csv"
         write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
@@ -392,7 +417,7 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
             s_max=_s_max("spectrum", config),
             num=num,
         )
-        payload = {"signs": report.as_dict()}
+        payload = {"signs": record_dict(report)}
         return (0 if report.consistent else 1), payload, (
             f"spectrum: phase={report.phase} matched={report.matched.sign} "
             f"consistent={report.consistent}"
@@ -402,7 +427,7 @@ def cmd_spectrum(config: dict, ctx: dict) -> tuple[int, dict, str]:
     if not prof.constant_solution:
         prof = solve_potential(prof, float(config.get("C", 0.0)))
     result = first_dirichlet_eigenvalue(prof, tuple(config["interval"]), num=num)
-    payload = {"spectral": result.as_dict()}
+    payload = {"spectral": record_dict(result)}
     if config.get("eigenvector_csv", False):
         csv_name = f"{ctx['tag']}_eigenvector.csv"
         write_csv(
@@ -418,7 +443,14 @@ def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict, str]:
         kappa0=float(config.get("kappa0", 1.0)),
         s_max=_s_max("schwarzschild", config),
     )
-    payload = chart.to_dict()
+    payload = {
+        "params": _params_record(chart.params),
+        "kappa0": 1.0,
+        "horizon": chart.horizon,
+        "horizon_from_polynomial": chart.horizon_from_polynomial,
+        "mass": chart.params.a,
+        "exclusion": chart.exclusion,
+    }
     if "zeta1" in config:
         m = chart.match(float(config["zeta1"]))
         payload["match"] = {
@@ -441,7 +473,7 @@ def _certify(domain, ctx: dict) -> tuple[str, dict, dict]:
     csv_name = f"{ctx['tag']}.csv"
     write_profile_csv(os.path.join(ctx["out"], csv_name), domain.profile)
     payload = {
-        "domain": domain.to_dict(),
+        "domain": _domain_record(domain),
         "residuals": residuals,
         "verdict": verdict,
         "outputs": {"csv": csv_name},
@@ -573,8 +605,7 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
         tols = {**defaults, **config.get("tolerances", {}), **ctx["tols"]}
         tols = {k: float(v) for k, v in tols.items()}
         code, payload, line = run(config, dict(ctx, tag=tag, params=params, tolerances=tols))
-        head = {"command": command, "tolerances": tols,
-                "params": {"n": params.n, "R": params.R, "a": params.a}}
+        head = {"command": command, "tolerances": tols, "params": _params_record(params)}
         write_envelope(os.path.join(ctx["out"], f"{tag}.json"), {**head, **payload})
         print(line)
         return {"tag": tag, "exit": code}

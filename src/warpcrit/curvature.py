@@ -36,7 +36,6 @@ from .profiles import (
     potential_accel,
     warp_accel,
 )
-from .serialize import record_dict
 from .support import row_blocks
 
 __all__ = [
@@ -87,9 +86,6 @@ class ResidualReport:
     max_einstein_residual: float | None
     grid_size: int
     tolerances: dict
-
-    def as_dict(self) -> dict:
-        return record_dict(self)
 
 
 class LevelSetData(NamedTuple):
@@ -154,15 +150,7 @@ def curvature_samples(
     """
     kappa0 = profile.kappa0 if fiber is None else fiber.kappa0
     if s is None:
-        s = profile.grid
-        r, rp, lam, lamp = profile.r, profile.rp, profile.lam, profile.lamp
-        if profile.degenerate_origin:
-            keep = np.asarray(r, dtype=float) > 0.0
-            if not np.any(keep):
-                raise AllPointsMasked("every grid point sits at the degenerate pole")
-            s, r, rp = s[keep], r[keep], rp[keep]
-            if lam is not None:
-                lam, lamp = lam[keep], lamp[keep]
+        s, r, rp, lam, lamp = _grid_slice(profile, None)
     else:
         v = profile.sample(s)
         s, r, rp, lam, lamp = v.s, v.r, v.rp, v.lam, v.lamp
@@ -174,22 +162,9 @@ def curvature_samples(
 def curvature_at(profile: Profile, fiber: FiberSpec | None, s: float) -> CurvatureSample:
     """Curvature pairs at a single arclength inside the window."""
     t = curvature_samples(profile, fiber, np.atleast_1d(float(s)))
-    if "hess_ss" not in t:
-        nan = float("nan")
-        t["hess_ss"] = t["hess_tan"] = t["lap"] = np.array([nan])
+    # The Hessian fields are nan on a profile without a potential.
     return CurvatureSample(
-        s=float(s),
-        ric_ss=float(t["ric_ss"][0]),
-        ric_tan=float(t["ric_tan"][0]),
-        scal=float(t["scal"][0]),
-        hess_ss=float(t["hess_ss"][0]),
-        hess_tan=float(t["hess_tan"][0]),
-        lap=float(t["lap"][0]),
-        sec_rad=float(t["sec_rad"][0]),
-        sec_tan=float(t["sec_tan"][0]),
-        mean_curv=float(t["mean_curv"][0]),
-        schouten_ss=float(t["schouten_ss"][0]),
-        schouten_tan=float(t["schouten_tan"][0]),
+        *(float(t[name][0]) if name in t else math.nan for name in CurvatureSample._fields)
     )
 
 

@@ -54,8 +54,7 @@ from .profiles import (
     warp_accel,
 )
 from .rk45 import hermite_quintic
-from .serialize import record_dict
-from .support import bisect_root, gauss_legendre
+from .support import bisect_root, gauss_legendre, row_blocks
 
 __all__ = [
     "FiberSpec",
@@ -78,11 +77,9 @@ __all__ = [
 
 _LD = np.longdouble
 
-# Quadrature: Gauss-Legendre order per panel, dense-step subdivision factor,
-# and the full steps evaluated per basis product (bounds its transients).
+# Quadrature: Gauss-Legendre order per panel and dense-step subdivision factor.
 _GL_ORDER = 20
 _SUBDIV = 4
-_STEP_BLOCK = 2048
 
 # Endpoints closer than this to a critical point of r are singular for the
 # r/(r')^2 integrand.
@@ -154,19 +151,6 @@ class MatchedDomain:
     boundary: tuple[BoundaryFace, ...]
     boundary_components: int
     quotient: dict | None = None
-
-    def to_dict(self) -> dict:
-        p = self.profile.params
-        return {
-            "params": {"n": p.n, "R": p.R, "a": p.a},
-            "r0": self.profile.r0,
-            "C": self.profile.C,
-            "interval": list(self.interval),
-            "fiber": record_dict(self.fiber),
-            "boundary_components": self.boundary_components,
-            "boundary": [record_dict(f) for f in self.boundary],
-            "quotient": self.quotient,
-        }
 
 
 @dataclass(frozen=True)
@@ -256,8 +240,9 @@ def _base_panels(profile: Profile, nodes: np.ndarray) -> np.ndarray:
 
     Returns the same ``_SUBDIV`` sub-panel integrals per node interval as
     ``_panel_quad(profile.sample_base, _subdivided(nodes))``.  Intervals that
-    are full base steps go through ``_step_basis`` in blocks of
-    ``_STEP_BLOCK`` steps; the others through ``Profile.sample_base``.
+    are full base steps go through ``_step_basis`` one block of
+    ``support.ROW_BLOCK`` steps at a time; the others through
+    ``Profile.sample_base``.
     """
     base = profile._dense()
     fine = _subdivided(nodes)
@@ -273,8 +258,8 @@ def _base_panels(profile: Profile, nodes: np.ndarray) -> np.ndarray:
     basis = _step_basis()
     _, gw = gauss_legendre(_GL_ORDER)
     ks = np.flatnonzero(full)
-    for b in range(0, ks.size, _STEP_BLOCK):
-        k = ks[b:b + _STEP_BLOCK]
+    for rows in row_blocks(ks.size):
+        k = ks[rows]
         i0 = i[k]
         i1 = i0 + 1
         h = (ts[i1] - ts[i0])[:, None]
@@ -548,11 +533,20 @@ def exclusion_zeta(profile: Profile) -> float:
     """Anchor-side exclusion radius zeta for R < 0.
 
     Matching admits a compact two-boundary domain only for zeta1 > zeta;
-    zeta solves G(zeta) = -G(+inf) inside (0, theta).
+    zeta solves G(zeta) = -G(+inf) inside (0, theta).  OutOfRange when the
+    target lies below G at the table's first node: zeta is then closer to
+    the anchor than the table resolves.
     """
     c0 = c_threshold(profile)
     table = _get_table(profile)
-    return table.solve(profile, -(profile.params.n - 1) * c0)
+    target = -(profile.params.n - 1) * c0
+    x0 = float(table.xs[0])
+    if target < table.value(profile, x0):
+        raise OutOfRange(
+            f"exclusion radius unresolved: its target -G(inf) = {target:.6g} lies "
+            f"below G at the matching table's first node s = {x0:.6g}"
+        )
+    return table.solve(profile, target)
 
 
 def classify_roots(profile: Profile) -> RootClassification:
@@ -866,30 +860,19 @@ class SchwarzschildChart:
     Exists for R <= 0, a > 0 over a unit-curvature fiber; W(r) =
     1 - c2 r^2 - (2a/(n-2)) r^(2-n) vanishes at the horizon radius, the
     unique closed minimal level, which coincides with the anchor radius of
-    the even profile.  ``mass`` is the constant a.
+    the even profile.  The mass is ``params.a``.  The chart carries no
+    serializer: the CLI assembles its envelope record.
     """
 
     params: OdeParams
     horizon: float
     horizon_from_polynomial: float
-    mass: float
     profile: Profile
     exclusion: float | None  # exclusion radius (R < 0), else None
 
     def match(self, zeta1: float) -> MatchResult:
         """Pair an outer boundary sphere with its reflected partner."""
         return match_boundary(self.profile, zeta1)
-
-    def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "params": {"n": p.n, "R": p.R, "a": p.a},
-            "kappa0": 1.0,
-            "horizon": self.horizon,
-            "horizon_from_polynomial": self.horizon_from_polynomial,
-            "mass": self.mass,
-            "exclusion": self.exclusion,
-        }
 
 
 def _horizon_from_polynomial(params: OdeParams) -> float:
@@ -944,7 +927,6 @@ def schwarzschild_form(
         params=params,
         horizon=horizon,
         horizon_from_polynomial=horizon_poly,
-        mass=params.a,
         profile=profile,
         exclusion=excl,
     )

@@ -48,7 +48,7 @@ from .errors import (
     OutOfRange,
     RangeError,
 )
-from .rk45 import MIN_BATCH, DenseSolution, integrate, integrate_batch
+from .rk45 import _H_FLOOR, MIN_BATCH, DenseSolution, integrate, integrate_batch
 from .support import bisect_root
 
 __all__ = [
@@ -80,9 +80,6 @@ _RADIUS_FLOOR = 1e-6
 
 # Integrator settings of every profile, shared by its outward extensions.
 _TOLS = {"rtol": 1e-15, "atol": 1e-18, "max_step": 0.1}
-
-# Smallest step rk45.integrate takes at t = 0.
-_STEP_FLOOR = float(np.finfo(_LD).eps * 16)
 
 # Absolute tolerance of the roots find_roots reports.
 _ROOT_TOL = 1e-12
@@ -453,13 +450,13 @@ def _anchor_state(params: OdeParams, r0: float, s_max: float):
         return None
 
     # r'' at the anchor sets the time scale of the first steps; below the
-    # integrator's smallest step no step can resolve it.
+    # integrator's smallest step at t = 0, _H_FLOOR, no step can resolve it.
     t_scale = np.sqrt(_LD(r0) / abs(racc0))
-    if t_scale < _STEP_FLOOR:
+    if t_scale < _H_FLOOR:
         raise RangeError(
             f"anchor radius r0 = {r0!r} is out of range: its time scale "
             f"sqrt(r0/|r''(0)|) = {float(t_scale):.3g} is below the "
-            f"integrator's smallest step {_STEP_FLOOR:.3g}"
+            f"integrator's smallest step {float(_H_FLOOR):.3g}"
         )
     lam00 = _LD(r0) / (_LD(params.n - 1) * racc0)
     return np.array([r0, 0.0, lam00, 0.0], dtype=_LD)
@@ -761,42 +758,33 @@ def solve_radius_for_kappa0(params: OdeParams, kappa0: float, branch: str = "min
             )
         if kappa0 <= k_min:
             return r_star
-        if branch == "min":
-            lo = r_star
-            while F(lo) < kappa0:
-                lo *= 0.5
-                if lo < 1e-300:
-                    raise OutOfRange("anchor radius underflow while bracketing")
-            hi = 2.0 * lo  # F(hi) < kappa0 from the last halving
-            return bisect_root(lambda r: F(r) - kappa0, lo, hi, tol=_KAPPA0_TOL * hi)
-        hi = r_star
-        while F(hi) < kappa0:
-            hi *= 2.0
-            if hi > 1e300:
-                raise OutOfRange("anchor radius overflow while bracketing")
-        return bisect_root(lambda r: F(r) - kappa0, r_star, hi, tol=_KAPPA0_TOL * hi)
-
-    if params.R == 0.0:
+        # F falls on (0, r_star) and rises beyond: walk away from r_star.
+        start, factor, rising = r_star, (0.5 if branch == "min" else 2.0), True
+    elif params.R == 0.0:
         # F(r) = (2a/(n-2)) r^(2-n): positive, strictly decreasing.
         if kappa0 <= 0.0:
             raise OutOfRange(
                 f"kappa0 must be positive when R = 0 and a > 0, got {kappa0:.6g}"
             )
         return float((2.0 * params.a / ((n - 2) * kappa0)) ** (1.0 / (n - 2)))
+    else:
+        # R < 0: F strictly decreasing from +inf to -inf; unique root.  Walk
+        # from r = 1 down while F is below kappa0, else up while above it.
+        start = 1.0
+        rising = F(start) < kappa0
+        factor = 0.5 if rising else 2.0
 
-    # R < 0: F strictly decreasing from +inf to -inf; unique root.
-    lo = 1.0
-    while F(lo) < kappa0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise OutOfRange("anchor radius underflow while bracketing")
-    # F(2 lo) < kappa0 from the last halving, if there was one; else the
-    # doubling extends the bracket.  Either way it is relative to the root.
-    hi = 2.0 * lo
-    while F(hi) > kappa0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise OutOfRange("anchor radius overflow while bracketing")
+    # One geometric walk until F reaches kappa0 (F rises along the walk when
+    # ``rising``).  A halving walk brackets the root by its last step, a
+    # doubling walk by its start and end; either way the tolerance is
+    # relative to the root.
+    x = prev = start
+    while (F(x) < kappa0) if rising else (F(x) > kappa0):
+        prev, x = x, x * factor
+        if (x < 1e-300) if factor < 1.0 else (x > 1e300):
+            word = "underflow" if factor < 1.0 else "overflow"
+            raise OutOfRange(f"anchor radius {word} while bracketing")
+    lo, hi = (x, prev) if factor < 1.0 else (start, x)
     return bisect_root(lambda r: F(r) - kappa0, lo, hi, tol=_KAPPA0_TOL * hi)
 
 

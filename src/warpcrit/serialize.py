@@ -6,9 +6,11 @@ re-ingestion.  JSON envelopes are emitted with sorted keys, two-space
 indentation, and the same float formatting, so two runs of the same
 configuration differ only in the timestamp field.  A result record enters
 an envelope through one rule, ``record_dict``: its fields, arrays left to the
-CSV tables.  All writes go through one atomic writer: a temporary file in the
-target directory, then an atomic replace.  Tables are rendered and written a
-block of rows at a time.
+CSV tables.  The records carry no serializer of their own, and the compute
+modules do not import this one: the CLI applies ``record_dict`` when it
+assembles a payload.  All writes go through one atomic writer: a temporary
+file in the target directory, then an atomic replace.  Tables are rendered
+and written a block of rows at a time.
 """
 
 from __future__ import annotations

@@ -59,7 +59,6 @@ from .profiles import (
     solve_potential,
     warp_accel,
 )
-from .serialize import record_dict
 
 __all__ = [
     "SpectralResult",
@@ -98,9 +97,6 @@ class SpectralResult:
     nodes: np.ndarray = field(repr=False)
     eigenvector: np.ndarray = field(repr=False)
 
-    def as_dict(self) -> dict:
-        return record_dict(self)
-
 
 @dataclass(frozen=True)
 class EigenSignReport:
@@ -114,9 +110,6 @@ class EigenSignReport:
     identity_residual: float
     expected_matched_sign: str
     consistent: bool
-
-    def as_dict(self) -> dict:
-        return record_dict(self)
 
 
 # ----------------------------------------------------------------------

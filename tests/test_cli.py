@@ -508,26 +508,33 @@ def test_verify_of_a_constant_solution_export_exits_2(tmp_path, capsys):
 
 # Inputs whose improper-tail remainder estimate overflowed (the first three
 # and the last four) or underflowed (the fourth): each must finish without an
-# internal error.
+# internal error.  The n = 1000 chart asks for no match: its exclusion radius
+# lies closer to the anchor than the matching table's first node, and the
+# error line says so instead of naming a paired root.
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, line",
     [
-        ("match", {"n": 100, "R": -6.0, "a": 1.0, "r0": 1.0, "zeta1": 1.0, "s_max": 3.0}),
-        ("match", {"n": 1000, "R": -6.0, "a": 6.0, "r0": 1.0, "zeta1": 3.0}),
-        ("schwarzschild", {"n": 1000, "R": -3.0, "a": 0.5, "s_max": 2.0}),
-        ("match", {"n": 3, "R": -1e-300, "a": 1.0, "r0": 1.0, "zeta1": 1.0}),
-        *(("schwarzschild", {"n": 3, "R": -6.0, "a": a}) for a in (1e170, 1e180, 1e200, 1e300)),
+        ("match", {"n": 100, "R": -6.0, "a": 1.0, "r0": 1.0, "zeta1": 1.0, "s_max": 3.0}, None),
+        ("match", {"n": 1000, "R": -6.0, "a": 6.0, "r0": 1.0, "zeta1": 3.0}, None),
+        ("schwarzschild", {"n": 1000, "R": -3.0, "a": 0.5, "s_max": 2.0},
+         "error: exclusion radius unresolved: its target -G(inf) = -333000 lies "
+         "below G at the matching table's first node s = 2.04429e-06"),
+        ("match", {"n": 3, "R": -1e-300, "a": 1.0, "r0": 1.0, "zeta1": 1.0}, None),
+        *(("schwarzschild", {"n": 3, "R": -6.0, "a": a}, None)
+          for a in (1e170, 1e180, 1e200, 1e300)),
     ],
     ids=["n100", "n1000", "schwarzschild_n1000", "R_tiny",
          "a_1e170", "a_1e180", "a_1e200", "a_1e300"],
 )
-def test_improper_tail_inputs_exit_cleanly(tmp_path, capsys, command, config):
+def test_improper_tail_inputs_exit_cleanly(tmp_path, capsys, command, config, line):
     cfg = _write_config(tmp_path / "c.json", config)
     code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     _, err = capsys.readouterr()
     assert code in (0, 2), err
     assert len(err.splitlines()) == (code == 2), err
     assert "internal error" not in err
+    if line is not None:
+        assert code == 2 and err == line + "\n"
 
 
 def test_unknown_tol_name_exits_2(tmp_path):

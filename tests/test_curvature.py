@@ -30,6 +30,7 @@ from warpcrit.curvature import (
     verify_critical,
 )
 from warpcrit.matching import FiberSpec
+from warpcrit.serialize import record_dict
 
 REGIMES = [
     OdeParams(n=3, R=0.0, a=1.0),
@@ -298,7 +299,7 @@ def test_perturbed_warp_fails_loudly():
 def test_tolerance_report_contents():
     prof = _complete(OdeParams(n=3, R=0.0, a=1.0))
     report = verify_critical(prof)
-    d = report.as_dict()
+    d = record_dict(report)
     assert set(d) == {
         "max_critical_residual",
         "max_scal_deviation",

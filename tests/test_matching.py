@@ -27,6 +27,7 @@ from warpcrit import (
     solve_potential,
 )
 from warpcrit import matching
+from warpcrit.cli import _domain_record
 from warpcrit.matching import (
     _GL_ORDER,
     _horizon_from_polynomial,
@@ -542,7 +543,7 @@ def test_quotient_requires_free_involution():
 
 def test_domain_serialization_roundtrip(flat_profile):
     dom = build_quotient_domain(OdeParams(n=3, R=0.0, a=1.0), r0=1.0, s_max=8.0)
-    d = dom.to_dict()
+    d = _domain_record(dom)
     assert d["boundary_components"] == 1
     assert d["fiber"]["kappa0"] == pytest.approx(2.0)
     assert len(d["boundary"]) == 2
@@ -559,7 +560,7 @@ def test_oracle_schwarzschild_horizon():
     print(f"horizon: {chart.horizon!r}, poly route: {chart.horizon_from_polynomial!r}")
     assert chart.horizon == pytest.approx(1.0, abs=1e-10)
     assert chart.horizon_from_polynomial == pytest.approx(1.0, abs=1e-10)
-    assert chart.mass == 0.5
+    assert chart.params.a == 0.5
     assert chart.exclusion is None
 
 

@@ -18,6 +18,7 @@ from warpcrit import (
     NonPositiveRadius,
     OdeParams,
     OutOfGrid,
+    OutOfRange,
     RangeError,
     conserved_quantity,
     critical_radius,
@@ -155,6 +156,42 @@ def test_oracle_kappa0_anchoring():
     # r^2 + 2e-9/r = 1 at r = 2e-9 (1 + 4e-18).
     tiny = solve_radius_for_kappa0(OdeParams(n=3, R=6.0, a=1e-9), 1.0, branch="min")
     assert tiny == pytest.approx(2e-9, rel=1e-13)
+
+
+# The geometric walk's bracket sets the bisection's midpoints and tolerance,
+# so the anchor radius is pinned bit for bit: the root at r0 = 1 itself, a
+# doubling walk from 1 (bracket [1, 4]), a halving walk from 1, and both
+# R > 0 branches walking away from the constant-solution radius.
+@pytest.mark.parametrize(
+    "nra, kappa0, branch, expected",
+    [
+        ((3, -6.0, 1.0), 1.0, "min", "0x1.0000000000000p+0"),
+        ((4, -6.0, 50.0), 1.0, "min", "0x1.811002d4cb018p+1"),
+        ((3, -6.0, 0.01), 1.0, "min", "0x1.478c90d63cea0p-6"),
+        ((3, 6.0, 1.0), 4.0, "min", "0x1.1410905e2e020p-1"),
+        ((3, 6.0, 1.0), 4.0, "max", "0x1.acd560719a8e0p+0"),
+    ],
+    ids=["root_at_start", "doubling", "halving", "min_branch", "max_branch"],
+)
+def test_kappa0_walk_pins_the_anchor_radius(nra, kappa0, branch, expected):
+    n, R, a = nra
+    r0 = solve_radius_for_kappa0(OdeParams(n=n, R=R, a=a), kappa0, branch)
+    assert r0.hex() == expected
+
+
+@pytest.mark.parametrize(
+    "nra, kappa0, message",
+    [
+        ((3, -6.0, 1.0), 1e308, "anchor radius underflow while bracketing"),
+        ((3, -1e-300, 1.0), -1e308, "anchor radius overflow while bracketing"),
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_kappa0_walk_stops_at_its_radius_bounds(nra, kappa0, message):
+    n, R, a = nra
+    with pytest.raises(OutOfRange) as exc:
+        solve_radius_for_kappa0(OdeParams(n=n, R=R, a=a), kappa0)
+    assert str(exc.value) == message
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The per-point pipeline in fixed row blocks.
 
-Dense evaluation of long queries, CSV rendering and the verification
-reductions work one ``support.ROW_BLOCK`` block of rows at a time.  The
-results must not depend on the block size, bit for bit and sign bits
-included, and the memory of each stage must stay a block's worth on top of
-its output.
+Dense evaluation of long queries, the matching table's quadrature, CSV
+rendering and the verification reductions work one ``support.ROW_BLOCK``
+block of rows at a time.  The results must not depend on the block size,
+bit for bit and sign bits included, and the memory of each stage must stay
+a block's worth on top of its output.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from warpcrit import (
 )
 from warpcrit.cli import _resample
 from warpcrit.curvature import verify_conformally_flat, verify_critical
+from warpcrit.matching import _base_panels, _table_nodes, c_threshold
 from warpcrit.serialize import write_csv
 
 LD = np.longdouble
@@ -89,6 +90,28 @@ def test_csv_bytes_are_independent_of_the_block_size(monkeypatch, tmp_path):
     assert small == whole
     assert small.count(b"\n") == 3 * SMALL_BLOCK + 2
     assert b"inf" not in small and b"nan" in small and b"-0," in small
+
+
+def test_matching_table_is_independent_of_the_block_size(monkeypatch):
+    params = OdeParams(n=3, R=-6.0, a=1.0)
+    prof = integrate_profile(params, 1.0, 4.0)
+    nodes, _ = _table_nodes(prof)
+    assert nodes.size > 3 * SMALL_BLOCK  # several blocks of full steps
+    default = _base_panels(prof, nodes)
+    small, whole = _by_block_size(monkeypatch, lambda: _base_panels(prof, nodes))
+    assert _same_bits(small, default) and _same_bits(whole, default)
+
+
+def test_c_threshold_is_independent_of_the_block_size(monkeypatch):
+    # A fresh profile per run, so each builds its own matching table.
+    params = OdeParams(n=3, R=-6.0, a=1.0)
+
+    def run():
+        return c_threshold(integrate_profile(params, 1.0, 3.0))
+
+    default = run()
+    small, whole = _by_block_size(monkeypatch, run)
+    assert small.hex() == whole.hex() == default.hex()
 
 
 def _reports(monkeypatch, prof):

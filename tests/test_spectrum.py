@@ -32,6 +32,7 @@ from warpcrit import (
     spectrum,
 )
 from warpcrit.profiles import find_roots
+from warpcrit.serialize import record_dict
 from warpcrit.spectrum import (
     _coherent_verdict,
     eigenvalue_at_resolution,
@@ -211,7 +212,7 @@ def test_sign_report_max_phase():
 
 def test_report_serializes():
     report = verify_eigenvalue_signs(POS, 0.8, 0.0, num=256)
-    d = report.as_dict()
+    d = record_dict(report)
     assert d["zero_mode"]["sign"] == "ZERO"
     assert set(d["matched"]) == {
         "gamma1", "error_bound", "sign", "h", "interval", "beta1",
@@ -335,7 +336,7 @@ def test_sign_report_matches_the_public_calls():
     prof = solve_potential(integrate_profile(POS, 0.8, 12.0), 0.1)
     interval = report.matched.interval
     matched = first_dirichlet_eigenvalue(prof, interval, num=64)
-    assert matched.as_dict() == report.matched.as_dict()
+    assert record_dict(matched) == record_dict(report.matched)
     assert np.array_equal(matched.nodes, report.matched.nodes)
     assert np.array_equal(matched.eigenvector, report.matched.eigenvector)
     assert identity_residual(prof, interval, num=64) == report.identity_residual
