@@ -235,7 +235,9 @@ def _profile_request(command: str, config: dict):
 
 
 def _resample(profile: Profile, step: float) -> Profile:
-    """Uniform resampling of the export grid; the one check of the step."""
+    """The export of ``profile`` on a uniform grid of spacing ``step``,
+    sampled there by ``Profile.sample``; the one check of the step.  The
+    export keeps no even branch: nothing solves it for a potential again."""
     if not step > 0.0:
         raise ConfigError(f"export grid step must be positive, got {step!r}")
     span = profile.s_max - profile.s_min
@@ -247,17 +249,11 @@ def _resample(profile: Profile, step: float) -> Profile:
     if count < 2:
         raise ConfigError("export grid step leaves fewer than 3 samples")
     grid = np.asarray(profile.s_min + step * np.arange(count + 1), dtype=np.longdouble)
-    if profile.constant_solution:
-        v = profile.sample(grid)
-        return replace(profile, grid=grid, r=v.r, rp=v.rp, _roots=None, _gtable=None)
-    # The even branch moves with the grid, so the export stays a profile that
-    # solve_potential accepts; lam and lamp are then formed as sample forms them.
-    r, rp, lam0, lam0p = profile.sample_base(grid)
-    export = replace(
-        profile, grid=grid, r=r, rp=rp, lam=None, lamp=None, C=None,
-        _lam0=lam0, _lam0p=lam0p, _roots=None, _gtable=None,
+    v = profile.sample(grid)
+    return replace(
+        profile, grid=grid, r=v.r, rp=v.rp, lam=v.lam, lamp=v.lamp,
+        _lam0=None, _lam0p=None, _roots=None, _gtable=None,
     )
-    return export if profile.C is None else solve_potential(export, profile.C)
 
 
 def _roots_record(profile: Profile) -> dict:
@@ -297,9 +293,7 @@ def cmd_construct(config: dict, ctx: dict) -> tuple[int, dict, str]:
         },
         "roots": roots,
         "outputs": {"csv": csv_name},
-        "diagnostics": {
-            k: v for k, v in prof.diagnostics.items() if isinstance(v, (int, float))
-        },
+        "diagnostics": prof.diagnostics,
     }
     return 0, payload, (
         f"construct: wrote {csv_name} ({export.grid.size} points), "
@@ -314,7 +308,7 @@ def _run_verification(profile: Profile, fiber, interval, tols: dict) -> tuple[st
     report = verify_critical(
         profile, fiber, interval=interval, fiber_tol=tols["fiber"]
     )
-    residuals = {k: v for k, v in record_dict(report).items() if k != "tolerances"}
+    residuals = record_dict(report)
     allowances = {
         "max_critical_residual": tols["critical"],
         "max_scal_deviation": tols["scal"] * (1.0 + abs(profile.params.R)),
@@ -444,8 +438,7 @@ def cmd_schwarzschild(config: dict, ctx: dict) -> tuple[int, dict, str]:
         s_max=_s_max("schwarzschild", config),
     )
     payload = {
-        "params": _params_record(chart.params),
-        "kappa0": 1.0,
+        "kappa0": chart.profile.kappa0,
         "horizon": chart.horizon,
         "horizon_from_polynomial": chart.horizon_from_polynomial,
         "mass": chart.params.a,

@@ -85,7 +85,6 @@ class ResidualReport:
     max_weyl_residual: float
     max_einstein_residual: float | None
     grid_size: int
-    tolerances: dict
 
 
 class LevelSetData(NamedTuple):
@@ -284,7 +283,6 @@ def verify_critical(
         max_weyl_residual=_max_over_blocks(weyl),
         max_einstein_residual=_max_over_blocks(einstein) if einstein else None,
         grid_size=int(np.size(s)),
-        tolerances={"fiber_tol": fiber_tol, "lambda_floor": _LAMBDA_FLOOR},
     )
 
 

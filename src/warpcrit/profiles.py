@@ -78,16 +78,13 @@ _CONSTANT_TOL = 1e-12
 # Guard floor for the warp factor during integration, relative to r0.
 _RADIUS_FLOOR = 1e-6
 
-# Integrator settings of every profile, shared by its outward extensions.
-_TOLS = {"rtol": 1e-15, "atol": 1e-18, "max_step": 0.1}
-
 # Absolute tolerance of the roots find_roots reports.
 _ROOT_TOL = 1e-12
 
 # Relative tolerance of the anchor radius solve_radius_for_kappa0 returns.
 _KAPPA0_TOL = 1e-14
 
-# Grid points of a closed-form space form; its roots are bracketed on them.
+# Grid points of a closed-form space form, on which its arrays are stored.
 _SPACE_FORM_POINTS = 2001
 
 
@@ -213,19 +210,17 @@ class ProfileValues(NamedTuple):
 class RootSet:
     """Roots of r' and of the potential on the profile window.
 
-    ``rp_roots`` always includes the anchor s = 0 for even profiles and is
-    sorted ascending over the full window; ``rp_kinds`` labels each root
-    "min" or "max" by the sign of r'' there.  ``lam_roots`` is None when the
-    profile carries no potential.  ``period`` is the distance between
-    consecutive minima of r, present only when R > 0 and the solution is
-    nonconstant (the warp factor is then periodic).
+    ``rp_roots`` always includes the anchor s = 0 and is sorted ascending
+    over the full window; ``rp_kinds`` labels each root "min" or "max" by
+    the sign of r'' there.  ``lam_roots`` is None when the profile carries
+    no potential.  ``period`` is the distance between consecutive minima of
+    r, present only when R > 0 (the warp factor is then periodic).
     """
 
     rp_roots: np.ndarray
     rp_kinds: tuple[str, ...]
     lam_roots: np.ndarray | None
     period: float | None
-    constant_solution: bool
 
     @property
     def s1(self) -> float | None:
@@ -509,7 +504,7 @@ def prefetched(requests):
     try:
         keys = [key for key in dict.fromkeys(requests) if _integrates(key)]
         if len(keys) >= MIN_BATCH:
-            bases = integrate_batch(*_batch_members(keys), **_TOLS)
+            bases = integrate_batch(*_batch_members(keys))
             _PREFETCH.update((k, b) for k, b in zip(keys, bases) if b is not None)
         yield
     finally:
@@ -561,9 +556,7 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
     if base is None:
         fun, d2fun = _rhs_functions(params._fields)
         floor = _RADIUS_FLOOR * r0
-        base, hit = integrate(
-            fun, d2fun, y0, (0.0, float(s_max)), guard=lambda y: y[0] <= floor, **_TOLS
-        )
+        base, hit = integrate(fun, d2fun, y0, (0.0, float(s_max)), guard=lambda y: y[0] <= floor)
         if hit:
             raise NonPositiveRadius(
                 f"warp factor fell below {floor:.3g} near s = {float(base.t_end):.6g}; "
@@ -810,70 +803,54 @@ def _node_roots(xs, f_vals, f, tol: float, lo=-math.inf, hi=math.inf) -> list[fl
 
 
 def find_roots(profile: Profile) -> RootSet:
-    """Locate roots of r' and of the potential on the profile window.
+    """Locate roots of r' and of the potential on the window of a profile
+    with a dense base (InvalidRegime, from ``_dense``, for one without).
 
-    Roots are bracketed on the profile's grid from the values of r' and lam
-    stored there -- for an integrated profile the mirrored step nodes of
-    the integrator, for a closed-form space form a uniform grid -- and
-    polished by bisection on the dense solution to within 1e-12.  On the
-    mirrored grid r' is odd and r even, so the roots of r' are polished on
-    s > 0 only and mirrored with their kinds.  For R > 0 the period of the
-    warp factor (distance between consecutive anchor returns) is reported.
+    Roots are bracketed on the mirrored step nodes of the integrator from
+    the values of r' and lam stored there, and polished by bisection on the
+    dense solution to within 1e-12.  r' is odd and r even, so the roots of
+    r' are polished on s > 0 only and mirrored with their kinds.  For R > 0
+    the period of the warp factor (distance between consecutive anchor
+    returns) is reported.  The result is cached until ``lam`` changes.
     """
-    cached = profile._roots
-    if cached is not None and (cached.lam_roots is not None or not profile.complete):
-        return cached
-    if profile.constant_solution:
-        rs = RootSet(
-            rp_roots=np.array([], dtype=float),
-            rp_kinds=(),
-            lam_roots=None,
-            period=None,
-            constant_solution=True,
-        )
-        profile._roots = rs
-        return rs
+    if profile._roots is not None:
+        return profile._roots
+    profile._dense()
 
-    lo = profile.s_min + (1e-12 if profile.degenerate_origin else 0.0)
+    # A mirrored bracket bisects to exactly the negated root (midpoints,
+    # values and branches all negate).  The anchor root is exact by
+    # construction; drop any bracketed copy.
     rp_f = lambda s: float(profile.sample(s).rp[0])
-    if profile.degenerate_origin:
-        rp_roots = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=lo)
-    else:
-        # A mirrored bracket bisects to exactly the negated root (midpoints,
-        # values and branches all negate).  The anchor root is exact by
-        # construction; drop any bracketed copy.
-        pos = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=0.0)
-        rp_roots = [0.0] + [t for t in pos if t > 10 * _ROOT_TOL]
+    pos = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=0.0)
+    rp_roots = [0.0] + [t for t in pos if t > 10 * _ROOT_TOL]
     kinds = [
         "min" if float(warp_accel(profile.params, profile.sample(t).r[0])) > 0 else "max"
         for t in rp_roots
     ]
-    if not profile.degenerate_origin:
-        rp_roots = [-t for t in rp_roots[:0:-1]] + rp_roots
-        kinds = kinds[:0:-1] + kinds
+    rp_roots = [-t for t in rp_roots[:0:-1]] + rp_roots
+    kinds = kinds[:0:-1] + kinds
 
     lam_roots = None
     if profile.complete:
         lam_f = lambda s: float(profile.sample(s).lam[0])
         lam_roots = np.array(
-            _node_roots(profile.grid, profile.lam, lam_f, _ROOT_TOL, lo=lo), dtype=float
+            _node_roots(profile.grid, profile.lam, lam_f, _ROOT_TOL, lo=profile.s_min),
+            dtype=float,
         )
 
     period = None
-    if profile.params.R > 0 and not profile.degenerate_origin:
+    if profile.params.R > 0:
         pos = [t for t in rp_roots if t > 10 * _ROOT_TOL]
         if len(pos) >= 2:
             period = float(pos[1])
 
-    rs = RootSet(
+    profile._roots = RootSet(
         rp_roots=np.array(rp_roots, dtype=float),
         rp_kinds=tuple(kinds),
         lam_roots=lam_roots,
         period=period,
-        constant_solution=False,
     )
-    profile._roots = rs
-    return rs
+    return profile._roots
 
 
 def extend_base(profile: Profile, *, r_target: float) -> DenseSolution:
@@ -900,7 +877,7 @@ def extend_base(profile: Profile, *, r_target: float) -> DenseSolution:
         if float(last.ys[-1, 0]) >= r_target:
             break
         t0 = float(last.ts[-1])
-        last, _hit = integrate(fun, d2fun, last.ys[-1], (t0, t0 + span), **_TOLS)
+        last, _hit = integrate(fun, d2fun, last.ys[-1], (t0, t0 + span))
         segs.append(last)
         span = min(2.0 * span, 50.0)
     else:

@@ -95,10 +95,15 @@ _BE = np.array([_B, _E], dtype=_LD)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# The one accuracy of every integration: the error of each step is held to
+# _ATOL + _RTOL |y| per component, and no step is longer than _MAX_STEP.
+_RTOL = _LD(1e-15)
+_ATOL = _LD(1e-18)
+_MAX_STEP = _LD(0.1)
 # Step attempts allowed per call.  The largest call in the test suite and
 # the benchmark makes about 7.6k; this is over 50 times that.
 _MAX_ATTEMPTS = 400_000
-# First step tried, unless the window or max_step is shorter.
+# First step tried, unless the window is shorter.
 _FIRST_STEP = 1e-4
 # Smallest step relative to 1 + |t|.
 _H_FLOOR = np.finfo(_LD).eps * 16
@@ -208,19 +213,19 @@ class _March:
     flat: list
 
 
-def _start(fun, d2fun, y0, t_span, max_step) -> _March:
+def _start(fun, d2fun, y0, t_span) -> _March:
     """Check the window and evaluate the first node of an integration."""
     t0, t_end = (_LD(t_span[0]), _LD(t_span[1]))
     if not t_end > t0:
         raise ValueError("t_span must be increasing")
     y = tuple(np.array(y0, dtype=_LD))
-    if (t_end - t0) / max_step > _MAX_ATTEMPTS:
+    if (t_end - t0) / _MAX_STEP > _MAX_ATTEMPTS:
         raise StepFailure(
             f"window of length {float(t_end - t0):.6g} needs more than "
-            f"{_MAX_ATTEMPTS} steps of at most {float(max_step):.3g}"
+            f"{_MAX_ATTEMPTS} steps of at most {float(_MAX_STEP):.3g}"
         )
     k0 = fun(y)
-    h = min(_LD(_FIRST_STEP), max_step, t_end - t0)
+    h = min(_LD(_FIRST_STEP), _MAX_STEP, t_end - t0)
     zero = (_LD(0),) * len(y)
     return _March(t0, t_end, t0, h, y, k0, zero, 0, [t0], [*y, *k0, *d2fun(y)])
 
@@ -237,18 +242,16 @@ def integrate(
     y0: Sequence[float],
     t_span: tuple[float, float],
     *,
-    rtol: float = 1e-13,
-    atol: float = 1e-16,
-    max_step: float = 0.1,
     guard: Callable[[Sequence], bool] | None = None,
 ) -> tuple[DenseSolution, bool]:
     """Integrate the autonomous system y' = fun(y) forward on ``t_span``.
 
     ``fun(y)`` and ``d2fun(y)`` take the state as a sequence of longdouble
     scalars and return y' and y'' (the latter used only for the dense
-    output) as tuples.  ``guard(y)``, if given, is checked after every
-    accepted step; a True return stops the integration early.  Returns the
-    dense solution and a flag telling whether the guard fired.
+    output) as tuples.  Every call runs at the one accuracy of ``_RTOL``,
+    ``_ATOL`` and ``_MAX_STEP``.  ``guard(y)``, if given, is checked after
+    every accepted step; a True return stops the integration early.
+    Returns the dense solution and a flag telling whether the guard fired.
 
     Raises ``StepFailure`` if the controller cannot meet the tolerance above
     the minimal representable step, or if the integration needs more than
@@ -256,13 +259,12 @@ def integrate(
     ``_MAX_ATTEMPTS // 10`` attempts, by extrapolating the pace so far over
     the whole window.
     """
-    rtol, atol, max_step = _LD(rtol), _LD(atol), _LD(max_step)
-    state = _start(fun, d2fun, y0, t_span, max_step)
-    return _march(fun, d2fun, guard, state, rtol, atol, max_step)
+    return _march(fun, d2fun, guard, _start(fun, d2fun, y0, t_span))
 
 
-def _march(fun, d2fun, guard, state: _March, rtol, atol, max_step) -> tuple[DenseSolution, bool]:
+def _march(fun, d2fun, guard, state: _March) -> tuple[DenseSolution, bool]:
     """Run the scalar loop from ``state`` to the end of its window."""
+    rtol, atol, max_step = _RTOL, _ATOL, _MAX_STEP
     t0, t_end, t, h = state.t0, state.t_end, state.t, state.h
     y, k0, comp, attempts = state.y, state.k0, state.comp, state.attempts
     ts, flat = state.ts, state.flat
@@ -352,17 +354,13 @@ def _march(fun, d2fun, guard, state: _March, rtol, atol, max_step) -> tuple[Dens
 def integrate_batch(
     members: Sequence[tuple],
     batch: Callable[[np.ndarray], tuple],
-    *,
-    rtol: float = 1e-13,
-    atol: float = 1e-16,
-    max_step: float = 0.1,
 ) -> list[DenseSolution | None]:
     """Integrate several systems in lockstep, each bit-identical to ``integrate``.
 
     ``members[i]`` is ``(fun, d2fun, guard, y0, t_span)`` as ``integrate``
-    takes them; the tolerances hold for all, and each starts with the
-    same first step as ``integrate``.  ``batch(idx)`` returns ``(fun, d2fun, guard)`` for the
-    members in the index array ``idx``, vectorized over them: each takes a
+    takes them; each runs at ``integrate``'s one accuracy and starts with
+    the same first step.  ``batch(idx)`` returns ``(fun, d2fun, guard)`` for
+    the members in the index array ``idx``, vectorized over them: each takes a
     ``(dim, len(idx))`` longdouble state and returns ``dim`` rows of values
     (the guard one bool per member, or is None).  Each member keeps its own
     step, window, Kahan compensation, accept decision and attempt budget,
@@ -376,16 +374,15 @@ def integrate_batch(
     Returns each member's dense solution, or None where ``integrate`` would
     raise ``StepFailure`` or report a guard hit.
     """
-    rtol, atol, max_step = _LD(rtol), _LD(atol), _LD(max_step)
     states: dict[int, _March] = {}
     for i, (fun, d2fun, _guard, y0, t_span) in enumerate(members):
         try:
-            states[i] = _start(fun, d2fun, y0, t_span, max_step)
+            states[i] = _start(fun, d2fun, y0, t_span)
         except StepFailure:
             pass
     out: list[DenseSolution | None] = [None] * len(members)
     if len(states) >= MIN_BATCH:
-        finished, log = _lockstep(states, batch, rtol, atol, max_step)
+        finished, log = _lockstep(states, batch)
         for i, rows in log.members(states):
             ts, table = rows[:, 0].copy(), rows[:, 1:].reshape(len(rows), 3, -1)
             if i in finished:
@@ -396,7 +393,7 @@ def integrate_batch(
     for i, state in states.items():
         fun, d2fun, guard = members[i][:3]
         try:
-            sol, hit = _march(fun, d2fun, guard, state, rtol, atol, max_step)
+            sol, hit = _march(fun, d2fun, guard, state)
         except StepFailure:
             continue
         out[i] = None if hit else sol
@@ -437,7 +434,7 @@ class _NodeLog:
                 yield i, self.rows[order[lo:hi]]
 
 
-def _lockstep(states: dict, batch, rtol, atol, max_step) -> tuple[dict, _NodeLog]:
+def _lockstep(states: dict, batch) -> tuple[dict, _NodeLog]:
     """March ``states`` together until fewer than ``MIN_BATCH`` remain.
 
     The stages run over the rows of the tableau: stage i's argument is
@@ -449,6 +446,7 @@ def _lockstep(states: dict, batch, rtol, atol, max_step) -> tuple[dict, _NodeLog
     attempt counts of the members that reached their end, and the nodes of
     every member.
     """
+    rtol, atol, max_step = _RTOL, _ATOL, _MAX_STEP
     idx = np.array(sorted(states), dtype=np.intp)
     log = _NodeLog(1 + len(states[idx[0]].flat))
     log.add(idx, np.array([[*states[i].ts, *states[i].flat] for i in idx], dtype=_LD).T)

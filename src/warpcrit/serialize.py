@@ -244,5 +244,4 @@ def profile_from_arrays(params: OdeParams, columns: dict) -> Profile:
         constant_solution=constant,
         degenerate_origin=bool(np.min(r) <= 0.0),
         s_min=float(s[0]),
-        diagnostics={"source": "csv"},
     )

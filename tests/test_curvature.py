@@ -306,6 +306,4 @@ def test_tolerance_report_contents():
         "max_weyl_residual",
         "max_einstein_residual",
         "grid_size",
-        "tolerances",
     }
-    assert d["tolerances"]["lambda_floor"] == 1e-4

@@ -461,6 +461,8 @@ def test_profiles_without_a_dense_base(make, theta_error):
     prof = make()
     with pytest.raises(InvalidRegime, match="no dense base"):
         prof.sample_base([0.5])
+    with pytest.raises(InvalidRegime, match="no dense base"):
+        find_roots(prof)
     assert np.all(np.isfinite(np.asarray(prof.sample([0.5]).r, dtype=float)))
     with pytest.raises(theta_error):
         prof.theta

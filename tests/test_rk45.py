@@ -68,6 +68,12 @@ def _reference_integrate(fun, d2fun, y0, t_span, rtol, atol, max_step):
     return rk45.DenseSolution(*arrays, nfev=nfev)
 
 
+def _accuracy(monkeypatch, rtol: float, atol: float) -> None:
+    """Run the integrator at another accuracy than its one setting."""
+    monkeypatch.setattr(rk45, "_RTOL", np.longdouble(rtol))
+    monkeypatch.setattr(rk45, "_ATOL", np.longdouble(atol))
+
+
 def _rejected(sol) -> int:
     """Rejected attempts: one FSAL evaluation, then six per attempt."""
     return (sol.nfev - 1) // 6 - (len(sol.ts) - 1)
@@ -98,9 +104,10 @@ def test_matches_array_reference_bit_for_bit():
     def array_d2fun(y):
         return np.array(d2fun(tuple(y)), dtype=np.longdouble)
 
-    tol = dict(rtol=1e-15, atol=1e-18, max_step=0.1)
-    sol, _ = rk45.integrate(fun, d2fun, y0, (0.0, 4.0), **tol)
-    ref = _reference_integrate(array_fun, array_d2fun, y0, (0.0, 4.0), **tol)
+    sol, _ = rk45.integrate(fun, d2fun, y0, (0.0, 4.0))
+    ref = _reference_integrate(
+        array_fun, array_d2fun, y0, (0.0, 4.0), rk45._RTOL, rk45._ATOL, rk45._MAX_STEP
+    )
     assert _rejected(ref) > 0, "the comparison must cover rejected attempts"
     for name in ("ts", "ys", "dys", "d2ys"):
         assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
@@ -210,9 +217,11 @@ def _counting(fun):
 
 
 def test_hopeless_window_fails_at_a_tenth_of_the_budget(monkeypatch):
-    # The oscillator takes about 520 attempts per 4 units of s, so 40 units
-    # need about 5,200, over a budget of 1,000.  After 100 attempts the pace
-    # shows it, and the call stops there instead of using up the budget.
+    # At rtol 1e-13 the oscillator takes about 520 attempts per 4 units of s,
+    # so 40 units need about 5,200, over a budget of 1,000.  After 100
+    # attempts the pace shows it, and the call stops there instead of using
+    # up the budget.
+    _accuracy(monkeypatch, 1e-13, 1e-16)
     monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 1000)
     fun, d2fun = _rhs_functions(_OSCILLATOR._fields)
     counted, calls = _counting(fun)
@@ -239,10 +248,11 @@ def test_budget_caps_a_window_that_slows_down(monkeypatch):
         w2 = np.exp(2 * t)
         return LD(0), -w2 * x, -w2 * (2 * x + v)
 
+    _accuracy(monkeypatch, 1e-8, 1e-10)
     monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 1000)
     counted, calls = _counting(fun)
     with pytest.raises(StepFailure, match="budget of 1000 attempts exhausted"):
-        rk45.integrate(counted, d2fun, (0.0, 1.0, 0.0), (0.0, 6.0), rtol=1e-8, atol=1e-10)
+        rk45.integrate(counted, d2fun, (0.0, 1.0, 0.0), (0.0, 6.0))
     assert len(calls) == 1 + 6 * 1000
 
 
@@ -256,7 +266,7 @@ def _scalar(member):
     raises StepFailure or reports a guard hit."""
     fun, d2fun, guard, y0, span = member
     try:
-        sol, hit = rk45.integrate(fun, d2fun, y0, span, guard=guard, **profiles._TOLS)
+        sol, hit = rk45.integrate(fun, d2fun, y0, span, guard=guard)
     except StepFailure:
         return None
     return None if hit else sol
@@ -279,7 +289,7 @@ def test_batch_matches_scalar_bit_for_bit():
         for k, (n, R) in enumerate((n, R) for n in (3, 4, 5) for R in (-6.0, 0.0, 6.0))
     ]
     members, batch = profiles._batch_members(cases)
-    got = rk45.integrate_batch(members, batch, **profiles._TOLS)
+    got = rk45.integrate_batch(members, batch)
     for member, sol in zip(members, got):
         _assert_same(sol, _scalar(member))
     assert all(sol is not None for sol in got)
@@ -289,8 +299,9 @@ def test_batch_matches_scalar_bit_for_bit():
 def test_batch_drops_guard_hits_and_failures(monkeypatch):
     # Member 1 collapses (a < 0) and hits its radius guard; member 3 would
     # need more than the budget over its long window and fails at the
-    # budget's checkpoint.  Both leave while four members march; the others
-    # still match.
+    # budget's checkpoint.  Both leave while four members march.  Member 5's
+    # window needs more than the budget in steps of _MAX_STEP, so it fails
+    # in _start and never joins the march.  The others still match.
     monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 4000)
     cases = [
         (OdeParams(n=3, R=-6.0, a=1.0), 1.0, 2.0),
@@ -298,35 +309,67 @@ def test_batch_drops_guard_hits_and_failures(monkeypatch):
         (OdeParams(n=4, R=6.0, a=1.0), 0.8, 2.5),
         (OdeParams(n=5, R=6.0, a=2.0), 0.5, 40.0),
         (OdeParams(n=3, R=0.0, a=1.0), 1.0, 3.0),
+        (OdeParams(n=4, R=6.0, a=1.0), 0.8, 5e4),
     ]
     members, batch = profiles._batch_members(cases)
     fun, d2fun, guard, y0, span = members[3]
     with pytest.raises(StepFailure, match="budget"):
-        rk45.integrate(fun, d2fun, y0, span, guard=guard, **profiles._TOLS)
-    got = rk45.integrate_batch(members, batch, **profiles._TOLS)
-    assert [sol is None for sol in got] == [False, True, False, True, False]
+        rk45.integrate(fun, d2fun, y0, span, guard=guard)
+    fun, d2fun, guard, y0, span = members[5]
+    with pytest.raises(StepFailure, match="needs more than"):
+        rk45.integrate(fun, d2fun, y0, span, guard=guard)
+    got = rk45.integrate_batch(members, batch)
+    assert [sol is None for sol in got] == [False, True, False, True, False, True]
     for member, sol in zip(members, got):
         _assert_same(sol, _scalar(member))
 
 
-def test_batch_hands_survivors_to_the_scalar_loop(monkeypatch):
-    # Three members: once the shortest ends, the other two resume on _march.
+def _resumed(monkeypatch) -> list:
+    """The attempt counts at which survivors of a batch resume on _march."""
     resumed = []
     march = rk45._march
 
-    def counted(fun, d2fun, guard, state, *tols):
+    def counted(fun, d2fun, guard, state):
         resumed.append(state.attempts)
-        return march(fun, d2fun, guard, state, *tols)
+        return march(fun, d2fun, guard, state)
 
     monkeypatch.setattr(rk45, "_march", counted)
+    return resumed
+
+
+def test_batch_hands_survivors_to_the_scalar_loop(monkeypatch):
+    # Three members: once the shortest ends, the other two resume on _march.
+    resumed = _resumed(monkeypatch)
     cases = [
         (OdeParams(n=3, R=6.0, a=1.0), 0.8, 0.5),
         (OdeParams(n=4, R=-6.0, a=1.0), 1.0, 2.0),
         (OdeParams(n=3, R=0.0, a=2.0), 1.0, 3.0),
     ]
     members, batch = profiles._batch_members(cases)
-    got = rk45.integrate_batch(members, batch, **profiles._TOLS)
+    got = rk45.integrate_batch(members, batch)
     assert len(resumed) == 2 and resumed[0] == resumed[1] > 0
+    for member, sol in zip(members, got):
+        _assert_same(sol, _scalar(member))
+
+
+def test_batch_survivor_fails_on_the_scalar_loop(monkeypatch):
+    # The shortest member ends at attempt 246; both survivors resume on
+    # _march there, and the long one fails at the pace checkpoint (attempt
+    # 400 of a budget of 4000) on the scalar loop.
+    monkeypatch.setattr(rk45, "_MAX_ATTEMPTS", 4000)
+    resumed = _resumed(monkeypatch)
+    cases = [
+        (OdeParams(n=3, R=-6.0, a=1.0), 1.0, 0.5),
+        (OdeParams(n=4, R=0.0, a=1.0), 1.0, 0.6),
+        (OdeParams(n=5, R=6.0, a=2.0), 0.5, 40.0),
+    ]
+    members, batch = profiles._batch_members(cases)
+    got = rk45.integrate_batch(members, batch)
+    assert resumed == [246, 246]
+    assert [sol is None for sol in got] == [False, False, True]
+    fun, d2fun, guard, y0, span = members[2]
+    with pytest.raises(StepFailure, match="would run out: the first 400"):
+        rk45.integrate(fun, d2fun, y0, span, guard=guard)
     for member, sol in zip(members, got):
         _assert_same(sol, _scalar(member))
 
@@ -338,6 +381,6 @@ def test_small_batch_runs_on_the_scalar_loop():
     def no_batch(idx):
         raise AssertionError("fewer than MIN_BATCH members must not batch")
 
-    got = rk45.integrate_batch(members, no_batch, **profiles._TOLS)
+    got = rk45.integrate_batch(members, no_batch)
     for member, sol in zip(members, got):
         _assert_same(sol, _scalar(member))
