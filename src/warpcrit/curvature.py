@@ -144,8 +144,7 @@ def curvature_samples(
 ) -> dict:
     """Curvature pairs at the given arclengths (grid by default), as arrays.
 
-    Pole-anchored profiles exclude the degenerate origin r = 0
-    automatically when sampling on their own grid.
+    On the profile's own grid the pole row r = 0 of a space form is left out.
     """
     kappa0 = profile.kappa0 if fiber is None else fiber.kappa0
     if s is None:
@@ -173,20 +172,15 @@ def curvature_at(profile: Profile, fiber: FiberSpec | None, s: float) -> Curvatu
 
 
 def _grid_slice(profile: Profile, interval):
-    """Grid arrays restricted to an interval (full grid when None); OutOfGrid
-    when the interval holds no grid point, AllPointsMasked when the pole mask
-    of a pole-anchored grid leaves none."""
+    """Grid rows with r > 0 (all but a space form's pole), restricted to an
+    interval when given; OutOfGrid when the interval holds no such row."""
     s = profile.grid
-    keep = np.ones(s.shape, dtype=bool)
+    keep = np.asarray(profile.r, dtype=float) > 0.0
     if interval is not None:
         lo, hi = float(interval[0]), float(interval[1])
         keep &= (np.asarray(s, dtype=float) >= lo) & (np.asarray(s, dtype=float) <= hi)
         if not np.any(keep):
-            raise OutOfGrid("no grid points inside the requested interval")
-    if profile.degenerate_origin:
-        keep &= np.asarray(profile.r, dtype=float) > 0.0
-        if not np.any(keep):
-            raise AllPointsMasked("every grid point sits at the degenerate pole")
+            raise OutOfGrid("no grid point with r > 0 inside the requested interval")
     lam = profile.lam[keep] if profile.lam is not None else None
     lamp = profile.lamp[keep] if profile.lamp is not None else None
     return s[keep], profile.r[keep], profile.rp[keep], lam, lamp

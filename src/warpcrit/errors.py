@@ -63,11 +63,11 @@ class StepFailure(NumericalError):
 
 
 class DegenerateInitial(InputError):
-    """No nonconstant solution exists for these initial data.
+    """The profile carries no even potential branch to attach a potential to.
 
-    Raised when the even-normalized initial second derivative of the warp
-    factor vanishes (the constant cylinder solution), so the potential's
-    initial value is undefined.
+    Raised for the constant cylinder solution, whose initial second
+    derivative vanishes so that the potential's initial value is undefined,
+    and for a closed form or a profile rebuilt from a grid.
     """
 
 

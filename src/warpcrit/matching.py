@@ -46,6 +46,7 @@ from .profiles import (
     OdeParams,
     Profile,
     _node_roots,
+    conserved_quantity,
     extend_base,
     find_roots,
     integrate_profile,
@@ -289,10 +290,9 @@ def _check_no_critical_points(profile: Profile, lo: float, hi: float) -> None:
             f"critical point of r at s = {inside[0]:.6g} lies inside "
             f"({lo:.6g}, {hi:.6g}); the integrand r/(r')^2 is not integrable there"
         )
+    # The roots include the anchor s = 0.
     near_lo = roots[np.abs(roots - lo) <= _ROOT_PAD]
     near_hi = roots[np.abs(roots - hi) <= _ROOT_PAD]
-    if not profile.degenerate_origin and abs(lo) <= _ROOT_PAD:
-        near_lo = np.array([0.0])
     if near_lo.size or near_hi.size:
         raise SingularEndpoint(
             "integration endpoint sits on a critical point of r, where "
@@ -355,13 +355,12 @@ def improper_integral(
     The range, or ``s_from`` of an improper one, must lie in the window
     [s_min, s_max] (OutOfGrid otherwise), and the open interval must avoid
     the critical points of r, where the integrand has non-integrable
-    singularities (SingularEndpoint).  For R >= 0 the improper integral
-    diverges (DivergentIntegral); for R < 0 its part beyond s_max runs on an
+    singularities (SingularEndpoint), found on the dense base (InvalidRegime
+    without one).  For R >= 0 the improper integral diverges
+    (DivergentIntegral); for R < 0 its part beyond s_max runs on an
     extension of the base to radius ``_TAIL_RADIUS``, doubled until the tail
     formula's estimated error is below 1e-10 of the total.
     """
-    if profile.constant_solution:
-        raise SingularEndpoint("constant profile: r' vanishes identically")
     s_from = float(s_from)
     if math.isinf(s_to):
         if profile.params.R >= 0.0:
@@ -487,10 +486,6 @@ def _get_table(profile: Profile) -> _CumulativeTable:
     """The profile's cached matching table, built on first use."""
     if profile._gtable is not None:
         return profile._gtable  # type: ignore[return-value]
-    if profile.constant_solution or profile.degenerate_origin:
-        raise InvalidRegime(
-            "boundary matching requires a nonconstant even profile"
-        )
     nodes, limit = _table_nodes(profile)
     panels = _base_panels(profile, nodes)
     xs = _subdivided(nodes)
@@ -555,17 +550,11 @@ def classify_roots(profile: Profile) -> RootClassification:
     R = 0: two roots for every C.  R < 0: case "a" (C <= -C0, single
     positive root), "b" (C >= C0, single negative root) or "c" (|C| < C0,
     one root of each sign).  R > 0: roots per critical interval plus the
-    anchor phase (min/max) and the sign of lam at the anchor.
+    anchor phase (min/max) and the sign of lam at the anchor.  Needs an
+    attached potential and a dense base (InvalidRegime otherwise).
     """
     if not profile.complete:
         raise InvalidRegime("root classification requires an attached potential")
-    if profile.constant_solution:
-        raise InvalidRegime("constant profiles have no potential roots")
-    if profile.degenerate_origin:
-        raise InvalidRegime(
-            "root classification applies to even-anchored profiles, not "
-            "pole-anchored space forms"
-        )
     roots = find_roots(profile)
     lam_anchor = float(profile.sample(0.0).lam[0])
     R = profile.params.R
@@ -910,6 +899,10 @@ def schwarzschild_form(
     The horizon radius is computed along two independent routes -- as the
     anchor radius with conserved value 1, and as the largest positive root
     of the polynomial form of the denominator -- and both are reported.
+    Before integrating, the conserved value at the horizon, which is the
+    profile's kappa0, is certified to lie within ``_FIBER_TOL`` of 1: a
+    large mass makes it the difference of two large terms, and OutOfRange
+    names the mass once float64 rounding of the horizon breaks that bound.
     """
     if params.R > 0.0:
         raise InvalidRegime("static radial chart requires R <= 0")
@@ -920,6 +913,12 @@ def schwarzschild_form(
             f"static radial chart is normalized to kappa0 = 1, got {kappa0!r}"
         )
     horizon = solve_radius_for_kappa0(params, 1.0)
+    kappa0_h = float(conserved_quantity(params, horizon, 0.0))
+    if abs(kappa0_h - 1.0) > _FIBER_TOL:
+        raise OutOfRange(
+            f"mass a = {params.a:.6g} is out of range: the horizon's kappa0 = "
+            f"{kappa0_h:.12g} is off 1 by more than {_FIBER_TOL:.0e}"
+        )
     horizon_poly = _horizon_from_polynomial(params)
     profile = integrate_profile(params, horizon, s_max)
     excl = exclusion_zeta(profile) if params.R < 0.0 else None

@@ -23,10 +23,12 @@ the one-parameter family ``lam = lam0 + C r'`` algebraically, so parity
 relations hold exactly by construction.
 
 Profiles are anchored at a critical point of r: ``r(0) = r0 > 0``,
-``r'(0) = 0``.  The arrays are produced on a mirrored grid spanning
-``[-s_max, s_max]``; closed-form space forms (``a = 0`` anchored at a pole
-``r = 0``) live on ``[0, s_max]`` instead and are marked
-``degenerate_origin``.
+``r'(0) = 0``, on the mirrored window ``[-s_max, s_max]``.  A profile has
+a dense base (``_base``), a closed form (``_closed_form``: the constant
+solution, and the space forms, ``a = 0`` anchored at a pole ``r = 0`` on
+``[0, s_max]``), or only a grid rebuilt from stored columns.  Two checks
+decide what each kind supports: ``Profile._dense`` (InvalidRegime) and
+``solve_potential``'s even-branch check (DegenerateInitial).
 """
 
 from __future__ import annotations
@@ -266,12 +268,11 @@ class Profile:
     kappa0: float
     C: float | None
     constant_solution: bool = False
-    degenerate_origin: bool = False
     s_min: float = field(default=None)  # type: ignore[assignment]
     diagnostics: dict = field(default_factory=dict)
     # Internals: dense base solution on [0, s_max] with components
     # (r, r', lam0, lam0'), outward extensions for improper tails, closed
-    # forms for space forms, cached roots and matching tables.
+    # forms (returning r, r', lam, lam'), cached roots and matching tables.
     _base: DenseSolution | None = field(default=None, repr=False)
     _closed_form: Callable | None = field(default=None, repr=False)
     _lam0: np.ndarray | None = field(default=None, repr=False)
@@ -283,7 +284,7 @@ class Profile:
 
     def __post_init__(self) -> None:
         if self.s_min is None:
-            self.s_min = 0.0 if self.degenerate_origin else -float(self.s_max)
+            self.s_min = -float(self.s_max)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -337,11 +338,6 @@ class Profile:
         rebuilt from a grid, which has no dense base.
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=_LD))
-        if self.constant_solution:
-            self._check_window(s_arr)
-            r = np.full(s_arr.shape, _LD(self.r0))
-            z = np.zeros(s_arr.shape, dtype=_LD)
-            return ProfileValues(s_arr, r, z, None, None)
         if self._closed_form is not None:
             self._check_window(s_arr)
             r, rp, lam, lamp = self._closed_form(s_arr)
@@ -372,8 +368,6 @@ class Profile:
         """
         if self._theta is not None:
             return self._theta
-        if self.constant_solution:
-            raise DegenerateInitial("constant solution has no potential roots")
         base = self._dense()
         s1 = find_roots(self).s1 if self.params.R > 0 else None
         f = lambda s: float(self.sample_base(s)[2][0])
@@ -511,6 +505,27 @@ def prefetched(requests):
         _PREFETCH.clear()
 
 
+def _closed_profile(
+    params: OdeParams, r0: float, s_max: float, grid: np.ndarray, closed: Callable, **fields
+) -> Profile:
+    """The profile of a closed form ``closed`` (arclengths to r, r', lam,
+    lam'), stored on ``grid``; ``fields`` are its kappa0, C and any others."""
+    r, rp, lam, lamp = closed(grid)
+    return Profile(
+        params=params,
+        r0=float(r0),
+        s_max=float(s_max),
+        grid=grid,
+        r=r,
+        rp=rp,
+        lam=lam,
+        lamp=lamp,
+        diagnostics={"conservation_residual": 0.0},
+        _closed_form=closed,
+        **fields,
+    )
+
+
 def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
     """Integrate the radial ODE from the anchor r(0) = r0, r'(0) = 0.
 
@@ -532,24 +547,14 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
     """
     y0 = _anchor_state(params, r0, s_max)
     if y0 is None:
-        # Constant solution: r identically r0.  Admits no potential.
+        # Constant solution: r identically r0, a closed form with no potential.
+        def closed(s: np.ndarray):
+            return np.full(s.shape, _LD(r0)), np.zeros(s.shape, dtype=_LD), None, None
+
         grid = np.linspace(_LD(-s_max), _LD(s_max), 801)
-        r = np.full(grid.shape, _LD(r0))
-        z = np.zeros(grid.shape, dtype=_LD)
         kappa0 = float(conserved_quantity(params, r0, 0.0))
-        return Profile(
-            params=params,
-            r0=float(r0),
-            s_max=float(s_max),
-            grid=grid,
-            r=r,
-            rp=z,
-            lam=None,
-            lamp=None,
-            kappa0=kappa0,
-            C=None,
-            constant_solution=True,
-            diagnostics={"conservation_residual": 0.0},
+        return _closed_profile(
+            params, r0, s_max, grid, closed, kappa0=kappa0, C=None, constant_solution=True
         )
 
     base = _PREFETCH.pop((params, r0, s_max), None)
@@ -578,7 +583,6 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
         lamp=None,
         kappa0=float(kappa0_ld),
         C=None,
-        constant_solution=False,
         diagnostics={
             "conservation_residual": cons_rel,
             "nfev": base.nfev,
@@ -596,18 +600,17 @@ def solve_potential(profile: Profile, C: float) -> Profile:
     warp factor, and r' spans the remaining homogeneous freedom.  Returns a
     new complete Profile sharing the dense base with the input.
 
-    Raises DegenerateInitial for the constant solution, which admits no
-    potential vanishing anywhere.
+    The one even-branch check: raises DegenerateInitial for a profile
+    without lam0, which only an integrated profile carries.
     """
-    if profile.constant_solution:
+    if profile._lam0 is None:
         raise DegenerateInitial(
-            "constant warp factor admits no nontrivial potential"
+            "profile carries no even potential branch: the constant solution "
+            "admits no potential, and a closed form or a rebuilt grid has none"
         )
     C = float(C)
     if not math.isfinite(C):
         raise RangeError(f"family parameter must be finite, got {C!r}")
-    if profile._lam0 is None:
-        raise DegenerateInitial("profile carries no even potential branch")
 
     lam = profile._lam0 + _LD(C) * profile.rp
     lamp = profile._lam0p + _LD(C) * warp_accel(profile.params, profile.r)
@@ -641,8 +644,8 @@ def space_form_profile(
     ``lambda_p = lam(0)`` the central value of the potential.  The warp
     factor is s, sin s, or sinh s; kappa0 = 1 and R = kappa n (n-1).
 
-    The window is one-sided, [0, s_max], and the origin is a coordinate
-    degeneracy of the radial frame (``degenerate_origin``).  For kappa = 1
+    The window is one-sided, [0, s_max], and its first grid point is the
+    pole r = 0, a coordinate degeneracy of the radial frame.  For kappa = 1
     the window must stay inside the first half-period (s_max < pi).
     """
     if kappa not in (-1, 0, 1):
@@ -683,24 +686,7 @@ def space_form_profile(
             return np.sinh(s), np.cosh(s), amp * np.cosh(s) + inv, amp * np.sinh(s)
 
     grid = np.linspace(_LD(0.0), _LD(s_max), _SPACE_FORM_POINTS)
-    r, rp, lam, lamp = closed(grid)
-    return Profile(
-        params=params,
-        r0=0.0,
-        s_max=float(s_max),
-        grid=grid,
-        r=r,
-        rp=rp,
-        lam=lam,
-        lamp=lamp,
-        kappa0=1.0,
-        C=0.0,
-        constant_solution=False,
-        degenerate_origin=True,
-        s_min=0.0,
-        diagnostics={"conservation_residual": 0.0},
-        _closed_form=closed,
-    )
+    return _closed_profile(params, 0.0, s_max, grid, closed, kappa0=1.0, C=0.0, s_min=0.0)
 
 
 def critical_radius(params: OdeParams) -> float:

@@ -226,10 +226,6 @@ def profile_from_arrays(params: OdeParams, columns: dict) -> Profile:
         np.median(np.asarray(conserved_quantity(params, r[positive], rp[positive]), dtype=float))
     )
     i0 = int(np.argmin(np.abs(s)))
-    span_r = float(np.max(r) - np.min(r))
-    constant = span_r <= 1e-12 * max(1.0, float(np.max(np.abs(r)))) and float(
-        np.max(np.abs(rp))
-    ) <= 1e-12
     return Profile(
         params=params,
         r0=float(r[i0]),
@@ -241,7 +237,5 @@ def profile_from_arrays(params: OdeParams, columns: dict) -> Profile:
         lamp=lamp_arr,
         kappa0=kappa0,
         C=None,
-        constant_solution=constant,
-        degenerate_origin=bool(np.min(r) <= 0.0),
         s_min=float(s[0]),
     )

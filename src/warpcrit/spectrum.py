@@ -44,7 +44,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
-    DegenerateInitial,
     GridTooCoarse,
     InvalidRegime,
     OutOfGrid,
@@ -140,9 +139,9 @@ def eigenvalue_at_resolution(profile: Profile, interval, num: int):
     """Lowest Dirichlet eigenvalue at a fixed uniform resolution.
 
     Splits [b1, b2] into `num` segments and solves the symmetric tridiagonal
-    eigenproblem on the num-1 interior nodes.  Returns
-    (beta, nodes, phi, rayleigh) with phi the ground eigenfunction of the
-    original (unsymmetrized) operator, positively normalized to unit sup.
+    eigenproblem on the num-1 interior nodes.  Returns (beta, nodes, phi)
+    with phi the ground eigenfunction of the original (unsymmetrized)
+    operator, positively normalized to unit sup.
     """
     lo, hi = float(interval[0]), float(interval[1])
     _window_check(profile, lo, hi)
@@ -163,14 +162,10 @@ def eigenvalue_at_resolution(profile: Profile, interval, num: int):
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     beta = float(vals[0])
     psi = vecs[:, 0]
-    ray = float(
-        (psi @ (diag * psi) + 2.0 * off[0] * float(psi[1:] @ psi[:-1]))
-        / (psi @ psi)
-    )
     phi = psi / np.asarray(v.r, dtype=float) ** ((profile.params.n - 1) / 2.0)
     peak = phi[np.argmax(np.abs(phi))]
     phi = phi / peak
-    return beta, nodes, phi, ray
+    return beta, nodes, phi
 
 
 def _verdict(gamma: float, bound: float) -> str:
@@ -217,7 +212,7 @@ def _spectral_result(profile: Profile, interval, num: int, pair) -> SpectralResu
     """Richardson extrapolation and verdict from one step-halving pair."""
     params = profile.params
     n = params.n
-    (beta_h, _, _, _), (beta_h2, nodes, phi, _) = pair
+    (beta_h, _, _), (beta_h2, nodes, phi) = pair
     beta = (4.0 * beta_h2 - beta_h) / 3.0
     dbeta = abs(beta_h - beta_h2) / 3.0 + _EIG_FLOOR * max(1.0, abs(beta))
     gamma = (n - 1) * beta - params.R
@@ -262,7 +257,7 @@ def _identity_defect(profile: Profile, interval, pair) -> float:
     with the ratio Richardson-extrapolated over one step-halving pair of solves."""
     n = profile.params.n
     ratios = []
-    for beta, nodes, phi, _ in pair:
+    for beta, nodes, phi in pair:
         gamma_red = beta - profile.params.R / (n - 1)
         v = profile.sample(nodes)
         w = np.asarray(v.r, dtype=float) ** (n - 1)
@@ -315,16 +310,12 @@ def verify_eigenvalue_signs(
     for a minimum of r at s = 0, negative for a maximum); and, in the
     minimum phase, positivity on the symmetric interval of the even
     potential used by the quotient construction.  The weighted integral
-    identity is evaluated on the matched interval.  Raises OutOfRange when
-    the window holds no positive critical point of r.
+    identity is evaluated on the matched interval.  Raises DegenerateInitial
+    (``solve_potential``) at the constant solution, and OutOfRange when the
+    window holds no positive critical point of r.
     """
     require_sign_regime(params)
-    profile = integrate_profile(params, r0, s_max)
-    if profile.constant_solution:
-        raise DegenerateInitial(
-            "the constant profile has no phase structure to verify"
-        )
-    profile = solve_potential(profile, C)
+    profile = solve_potential(integrate_profile(params, r0, s_max), C)
     roots = find_roots(profile)
     s1 = roots.s1
     if s1 is None:

@@ -284,10 +284,10 @@ def test_criterion_8_zero_mode_convergence():
     s1 = float(roots.rp_roots[roots.rp_roots > 1e-12][0])
     gammas = []
     for num in (200, 400, 800):
-        beta, _, _, _ = eigenvalue_at_resolution(prof, (0.0, s1), num)
+        beta, _, _ = eigenvalue_at_resolution(prof, (0.0, s1), num)
         gammas.append((params.n - 1) * beta - params.R)
     orders = [math.log2(abs(gammas[i]) / abs(gammas[i + 1])) for i in range(2)]
-    _, nodes, phi, _ = eigenvalue_at_resolution(prof, (0.0, s1), 1000)
+    _, nodes, phi = eigenvalue_at_resolution(prof, (0.0, s1), 1000)
     rp = np.asarray(prof.sample(nodes).rp, dtype=float)
     rp = rp / rp[np.argmax(np.abs(rp))]
     dev = float(np.max(np.abs(phi - rp)))

@@ -21,6 +21,7 @@ from warpcrit import (
     profile_from_arrays,
     read_profile_csv,
     solve_potential,
+    space_form_profile,
     verify_critical,
     write_profile_csv,
 )
@@ -398,6 +399,23 @@ def test_bad_flag_fails_cleanly(tmp_path, flags):
 _BASE = '"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 1.0'
 _MATCH = '"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1.5, "s_max": 3.0'
 _OSC = '"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0'
+# The constant solution r = 1 of the oscillatory regime, which admits no
+# potential, and the two lines every command that needs one exits with.
+_CONSTANT = '"n": 3, "R": 6.0, "a": 1.0, "r0": 1.0'
+_NO_DENSE_BASE = (
+    "error: profile has no dense base: a constant solution, a closed form and a "
+    "profile rebuilt from a grid carry none"
+)
+_NO_EVEN_BRANCH = (
+    "error: profile carries no even potential branch: the constant solution admits "
+    "no potential, and a closed form or a rebuilt grid has none"
+)
+_PINNED_LINES = {
+    ("match", f'{{{_CONSTANT}, "zeta1": 0.5}}'): _NO_DENSE_BASE,
+    ("example1", f'{{{_CONSTANT}, "zeta1": 0.5}}'): _NO_DENSE_BASE,
+    ("example2", f"{{{_CONSTANT}}}"): _NO_EVEN_BRANCH,
+    ("spectrum", f'{{{_CONSTANT}, "signs": true}}'): _NO_EVEN_BRANCH,
+}
 
 
 # (command, config text, flags): one case per input-error raise site.  The
@@ -429,7 +447,7 @@ _OSC = '"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0'
         ("construct", f"{{{_BASE}}}", ["--grid-step", "1e-9"]),
         ("construct", '{"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "s_max": 4.0}',
          ["--grid-step", "5"]),
-        ("match", '{"n": 3, "R": 6.0, "a": 1.0, "r0": 1.0, "zeta1": 0.5}', []),
+        *((command, text, []) for command, text in _PINNED_LINES),
         ("match", '{"n": 3, "R": 0.0, "a": 1.0, "r0": 1.0, "zeta1": 1e-300, "s_max": 3.0}',
          []),
         ("schwarzschild", '{"n": 3, "R": -6.0, "a": 1.0, "s_max": 0.5}', []),
@@ -437,6 +455,8 @@ _OSC = '"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0'
          []),
         ("construct", '{"n": 1000, "R": -6.0, "a": 1.0, "r0": 1e-10}', []),
         ("construct", '{"n": 3, "R": 1e300, "a": 1.0, "r0": 1.0}', []),
+        *(("schwarzschild", f'{{"n": 3, "R": -6.0, "a": {a}}}', [])
+          for a in ("1e7", "1e12", "1e20")),
     ],
     ids=[
         "root_list", "sweep_object", "sweep_entry_number", "workers_negative",
@@ -444,12 +464,15 @@ _OSC = '"n": 3, "R": 6.0, "a": 1.0, "r0": 0.8, "s_max": 3.0'
         "n_1e400", "r0_string", "signs_number", "interval_reversed", "fiber_list",
         "fiber_unknown_key", "fiber_dim_1", "example2_no_involution", "out_is_file",
         "tol_no_value", "tol_not_number", "grid_step_negative", "grid_step_too_fine",
-        "grid_step_past_window", "match_constant_solution", "zeta1_1e-300",
+        "grid_step_past_window", "match_constant_solution", "example1_constant_solution",
+        "example2_constant_solution", "signs_constant_solution", "zeta1_1e-300",
         "schwarzschild_short_window", "signs_short_window", "n1000_tiny_r0", "R_1e300",
+        "schwarzschild_a_1e7", "schwarzschild_a_1e12", "schwarzschild_a_1e20",
     ],
 )
 def test_input_error_exits_2_with_one_line(tmp_path, capsys, command, text, flags):
-    _assert_one_line_input_error(tmp_path, capsys, command, text, flags)
+    line = _assert_one_line_input_error(tmp_path, capsys, command, text, flags)
+    assert line == _PINNED_LINES.get((command, text), line)
 
 
 def _assert_one_line_input_error(tmp_path, capsys, command, text, flags=()):
@@ -465,6 +488,7 @@ def _assert_one_line_input_error(tmp_path, capsys, command, text, flags=()):
     assert "internal error" not in err and "Traceback" not in err
     assert cfg.read_text() == text
     assert not out.exists() or list(out.iterdir()) == [], "no envelope may be written"
+    return lines[0]
 
 
 # (profile CSV text, extra verify keys): one case per input check that a
@@ -500,9 +524,30 @@ def test_verify_of_a_constant_solution_export_exits_2(tmp_path, capsys):
     _assert_one_line_input_error(tmp_path, capsys, "verify", json.dumps(config))
 
 
+@pytest.mark.parametrize("interval, code", [(None, 0), ([-1.0, 0.0], 2)],
+                         ids=["whole", "pole_only_interval"])
+def test_verify_of_a_pole_anchored_csv(tmp_path, capsys, interval, code):
+    # The flat ball's grid starts at its pole r = 0, the one row verification
+    # leaves out; an interval that holds only that row is an input error.
+    path = tmp_path / "pole.csv"
+    write_profile_csv(str(path), space_form_profile(0, 1.0, 3.0))
+    config = {"n": 3, "R": 0.0, "a": 0.0, "profile_csv": str(path)}
+    if interval is not None:
+        config["interval"] = interval
+    cfg = _write_config(tmp_path / "v.json", config)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == code
+    _, err = capsys.readouterr()
+    if code == 0:
+        env = _read_json(tmp_path / "verify.json")
+        assert env["residuals"]["grid_size"] == 2000 and env["verdict"] == "pass"
+    else:
+        assert err == "error: no grid point with r > 0 inside the requested interval\n"
+
+
 # Inputs whose improper-tail remainder estimate overflowed (the first three
 # and the last four) or underflowed (the fourth): each must finish without an
-# internal error.  The n = 1000 chart asks for no match: its exclusion radius
+# internal error.  The last four masses now stop at the chart's kappa0
+# certificate; test_matching reaches their overflow guards through the library.  The n = 1000 chart asks for no match: its exclusion radius
 # lies closer to the anchor than the matching table's first node, and the
 # error line says so instead of naming a paired root.
 @pytest.mark.parametrize(
@@ -728,6 +773,14 @@ def test_schwarzschild_command_with_a_match(tmp_path):
     want = chart.match(1.0)
     assert got == {k: getattr(want, k) for k in ("zeta1", "zeta2", "C", "discrepancy")}
     assert got["discrepancy"] <= 1e-8 * abs(got["zeta2"])
+
+
+def test_schwarzschild_of_a_large_mass_keeps_kappa0(tmp_path):
+    # The largest decade of mass whose horizon still carries kappa0 to 1e-10
+    # (from a = 1e7 on the chart exits 2).
+    cfg = _write_config(tmp_path / "w.json", {"n": 3, "R": -6.0, "a": 1e6})
+    assert main(["schwarzschild", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert abs(_read_json(tmp_path / "schwarzschild.json")["kappa0"] - 1.0) <= 1e-10
 
 
 def test_schwarzschild_envelope_states_the_chart_kappa0(tmp_path):

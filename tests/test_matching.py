@@ -25,6 +25,7 @@ from warpcrit import (
     VerificationError,
     integrate_profile,
     solve_potential,
+    space_form_profile,
 )
 from warpcrit import matching
 from warpcrit.cli import _domain_record
@@ -124,6 +125,44 @@ def test_improper_tail_remainder_underflow_is_an_input_error():
     profile = integrate_profile(OdeParams(n=3, R=-1e-300, a=1.0), r0=1.0, s_max=2.0)
     with pytest.raises(OutOfRange, match="underflows"):
         improper_integral(profile, 1.0)
+
+
+@pytest.mark.parametrize("a", [1e170, 1e300], ids=["1e170", "1e300"])
+def test_improper_tail_of_a_huge_mass(a):
+    # At the horizon of these masses r^5 (a = 1e170), and r^(n+1) too
+    # (a = 1e300), overflow in the remainder estimate; an overflowing term
+    # counts as 0.  schwarzschild_form refuses these masses, whose horizon
+    # kappa0 is far from 1, so only the library reaches the guards.
+    params = OdeParams(n=3, R=-6.0, a=a)
+    profile = integrate_profile(params, solve_radius_for_kappa0(params, 1.0), s_max=12.0)
+    assert math.isfinite(c_threshold(profile))
+
+
+_NO_BASE = {
+    "space_form": lambda: space_form_profile(-1, lambda_p=1.0, s_max=2.0),
+    # r'' = -r^-2 + r vanishes at r0 = 1: the constant solution with R < 0.
+    "constant_solution": lambda: integrate_profile(OdeParams(3, -6.0, -1.0), 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("make", _NO_BASE.values(), ids=_NO_BASE.keys())
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p: improper_integral(p, 0.5, 1.0),
+        lambda p: improper_integral(p, 0.5),
+        lambda p: cumulative_integral(p, 0.5),
+        lambda p: match_boundary(p, 0.5),
+        classify_roots,
+    ],
+    ids=["improper_integral", "improper_tail", "cumulative_integral", "match_boundary",
+         "classify_roots"],
+)
+def test_matching_refuses_a_profile_without_a_dense_base(make, entry):
+    # The dense-base check, reached through find_roots or theta, is the one
+    # guard; the constant solution carries no potential to classify.
+    with pytest.raises(InvalidRegime):
+        entry(make())
 
 
 def test_improper_integral_error_paths(flat_profile, neg_profile, pos_profile):
@@ -599,6 +638,13 @@ def test_polynomial_horizon_of_a_tiny_mass():
     # underflows to zero; the bisection must still keep the sign change.
     params = OdeParams(n=5, R=-6.0, a=1e-300)
     assert _horizon_from_polynomial(params) == pytest.approx((2e-300 / 3) ** (1 / 3), rel=1e-13)
+
+
+def test_schwarzschild_refuses_a_mass_whose_horizon_misses_kappa0():
+    # kappa0 at the float64 horizon is a difference of two terms of size
+    # |c2| r_h^2; from a = 1e7 on its rounding exceeds 1e-10.
+    with pytest.raises(OutOfRange, match=r"mass a = 1e\+07 .* kappa0 = .* than 1e-10$"):
+        schwarzschild_form(OdeParams(n=3, R=-6.0, a=1e7))
 
 
 def test_schwarzschild_regime_validation():

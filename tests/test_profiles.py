@@ -114,7 +114,8 @@ def test_oracle_space_forms(kappa):
     s_max = 1.2 if kappa == 1 else 2.5
     prof = space_form_profile(kappa, lambda_p=1.0, s_max=s_max, n=3)
     assert prof.kappa0 == 1.0
-    assert prof.degenerate_origin
+    # Anchored at the pole: the window and the grid start at r = 0.
+    assert prof.s_min == 0.0 and prof.grid[0] == 0.0 and prof.r[0] == 0.0
     s = np.linspace(1e-6, s_max, 97)
     vals = prof.sample(s)
     r = np.asarray(vals.r, dtype=float)
@@ -447,24 +448,25 @@ _OSC = OdeParams(n=3, R=6.0, a=1.0)
 
 
 @pytest.mark.parametrize(
-    "make, theta_error",
+    "make",
     [
-        (lambda: space_form_profile(-1, lambda_p=1.0, s_max=2.0), InvalidRegime),
-        (lambda: space_form_profile(1, lambda_p=0.0, s_max=2.0), InvalidRegime),
-        (lambda: integrate_profile(_OSC, critical_radius(_OSC), 2.0), DegenerateInitial),
+        lambda: space_form_profile(-1, lambda_p=1.0, s_max=2.0),
+        lambda: space_form_profile(1, lambda_p=0.0, s_max=2.0),
+        lambda: integrate_profile(_OSC, critical_radius(_OSC), 2.0),
     ],
     ids=["hyperbolic_ball", "spherical_ball", "constant_solution"],
 )
-def test_profiles_without_a_dense_base(make, theta_error):
-    # One check, Profile._dense, refuses every profile kind without a dense
-    # base; Profile.sample still evaluates them in closed form.
+def test_profiles_without_a_dense_base(make):
+    # One check, Profile._dense, refuses every closed form; Profile.sample
+    # still evaluates them.  solve_potential's even-branch check refuses
+    # them too.
     prof = make()
     with pytest.raises(InvalidRegime, match="no dense base"):
         prof.sample_base([0.5])
     with pytest.raises(InvalidRegime, match="no dense base"):
         find_roots(prof)
     assert np.all(np.isfinite(np.asarray(prof.sample([0.5]).r, dtype=float)))
-    with pytest.raises(theta_error):
+    with pytest.raises(InvalidRegime, match="no dense base"):
         prof.theta
     with pytest.raises(DegenerateInitial):
         solve_potential(prof, 0.0)

@@ -119,7 +119,7 @@ def test_zero_mode_convergence_order(osc_min):
     s1 = float(roots.rp_roots[roots.rp_roots > 1e-12][0])
     gammas = []
     for num in (200, 400, 800):
-        beta, _, _, _ = eigenvalue_at_resolution(osc_min, (0.0, s1), num)
+        beta, _, _ = eigenvalue_at_resolution(osc_min, (0.0, s1), num)
         gammas.append(2.0 * beta - 6.0)
     orders = [
         math.log2(abs(gammas[i]) / abs(gammas[i + 1])) for i in range(2)
@@ -132,7 +132,7 @@ def test_zero_mode_eigenvector_matches_rp(osc_min):
     roots = find_roots(osc_min)
     s1 = float(roots.rp_roots[roots.rp_roots > 1e-12][0])
     # fine level of num=500 puts h at s1/1000
-    _, nodes, phi, _ = eigenvalue_at_resolution(osc_min, (0.0, s1), 1000)
+    _, nodes, phi = eigenvalue_at_resolution(osc_min, (0.0, s1), 1000)
     rp = np.asarray(osc_min.sample(nodes).rp, dtype=float)
     rp = rp / rp[np.argmax(np.abs(rp))]
     dev = float(np.max(np.abs(phi - rp)))
@@ -161,8 +161,16 @@ def test_tiny_interval_positive(osc_min):
 
 
 def test_rayleigh_consistency(osc_min):
-    beta, _, _, ray = eigenvalue_at_resolution(osc_min, (-1.0, 1.0), 512)
+    beta, nodes, phi = eigenvalue_at_resolution(osc_min, (-1.0, 1.0), 512)
     h = 2.0 / 512
+    # The symmetrized eigenvector psi = r^((n-1)/2) phi, up to scale, and the
+    # Rayleigh quotient of the tridiagonal matrix at it.
+    v = osc_min.sample(nodes)
+    psi = phi * np.asarray(v.r, dtype=float) ** ((osc_min.params.n - 1) / 2.0)
+    u = np.asarray(spectrum._schroedinger_potential(osc_min.params, v.r, v.rp), dtype=float)
+    ray = float(
+        (psi @ ((2.0 / h**2 + u) * psi) - 2.0 / h**2 * float(psi[1:] @ psi[:-1])) / (psi @ psi)
+    )
     tol = 1e-12 * (2.0 / h**2)
     print(f"beta={beta:.15g} rayleigh={ray:.15g} tol={tol:.1e}")
     assert abs(beta - ray) < tol, "eigenvalue must equal its Rayleigh quotient"
@@ -238,7 +246,7 @@ def test_step_bound_is_checked_before_any_solve(osc_min, monkeypatch):
     # A width of 1e-12 over 64 segments is far above the bound.  From 1e-75
     # down the tridiagonal solver fails, and 1/h^2 itself overflows from
     # 1e-155 and divides by zero from 1e-300.
-    beta, _, _, _ = eigenvalue_at_resolution(osc_min, (0.0, 1e-12), 64)
+    beta, _, _ = eigenvalue_at_resolution(osc_min, (0.0, 1e-12), 64)
     assert math.isclose(beta, (math.pi / 1e-12) ** 2, rel_tol=1e-3)
 
     def no_solve(*args, **kwargs):
