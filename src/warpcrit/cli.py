@@ -38,7 +38,6 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -74,6 +73,7 @@ from .spectrum import (
     require_sign_regime,
     verify_eigenvalue_signs,
 )
+from .support import row_blocks
 
 __all__ = ["main"]
 
@@ -235,9 +235,12 @@ def _profile_request(command: str, config: dict):
 
 
 def _resample(profile: Profile, step: float) -> Profile:
-    """The export of ``profile`` on a uniform grid of spacing ``step``,
-    sampled there by ``Profile.sample``; the one check of the step.  The
-    export keeps no even branch: nothing solves it for a potential again."""
+    """The export of ``profile`` on a uniform grid of spacing ``step``; the
+    one check of the step.  ``Profile.sample`` fills one float64 table, the
+    CSV's own precision, one block of ``support.ROW_BLOCK`` rows at a time,
+    so the export holds its table once plus a block of temporaries.  The
+    export is a grid profile, the kind ``serialize.profile_from_arrays``
+    rebuilds: no dense base, closed form or even branch."""
     if not step > 0.0:
         raise ConfigError(f"export grid step must be positive, got {step!r}")
     span = profile.s_max - profile.s_min
@@ -248,11 +251,16 @@ def _resample(profile: Profile, step: float) -> Profile:
     count = int(math.floor(span / step + 1e-12))
     if count < 2:
         raise ConfigError("export grid step leaves fewer than 3 samples")
-    grid = np.asarray(profile.s_min + step * np.arange(count + 1), dtype=np.longdouble)
-    v = profile.sample(grid)
-    return replace(
-        profile, grid=grid, r=v.r, rp=v.rp, lam=v.lam, lamp=v.lamp,
-        _lam0=None, _lam0p=None, _roots=None, _gtable=None,
+    grid = profile.s_min + step * np.arange(count + 1)
+    # Rows r, r' and, with a potential attached, lam, lam'.
+    table = np.empty((4 if profile.complete else 2, grid.size))
+    for rows in row_blocks(grid.size):
+        table[:, rows] = profile.sample(grid[rows])[1 : 1 + len(table)]
+    lam, lamp = table[2:] if profile.complete else (None, None)
+    return Profile(
+        params=profile.params, r0=profile.r0, s_max=profile.s_max, s_min=profile.s_min,
+        grid=grid, r=table[0], rp=table[1], lam=lam, lamp=lamp,
+        kappa0=profile.kappa0, C=profile.C,
     )
 
 

@@ -105,8 +105,9 @@ class LevelSetData(NamedTuple):
 def _frame_tensors(params: OdeParams, kappa0: float, s, r, rp, lam, lamp):
     """All curvature pairs from profile data, in extended precision.
 
-    Returns a dict of longdouble arrays.  lam/lamp may be None, in which
-    case the Hessian entries are omitted.
+    Returns a dict of fresh longdouble arrays, none of them an alias of an
+    input (the inputs may be the profile's own columns).  lam/lamp may be
+    None, in which case the Hessian entries are omitted.
     """
     n = params.n
     r = np.asarray(r, dtype=_LD)
@@ -118,7 +119,7 @@ def _frame_tensors(params: OdeParams, kappa0: float, s, r, rp, lam, lamp):
     ric_tan = _LD(n - 2) * sec_tan + sec_rad
     scal = ric_ss + _LD(n - 1) * ric_tan
     out = {
-        "s": np.asarray(s, dtype=_LD),
+        "s": np.array(s, dtype=_LD),
         "sec_rad": sec_rad,
         "sec_tan": sec_tan,
         "ric_ss": ric_ss,
@@ -173,7 +174,11 @@ def curvature_at(profile: Profile, fiber: FiberSpec | None, s: float) -> Curvatu
 
 def _grid_slice(profile: Profile, interval):
     """Grid rows with r > 0 (all but a space form's pole), restricted to an
-    interval when given; OutOfGrid when the interval holds no such row."""
+    interval when given; OutOfGrid when the interval holds no such row.
+
+    When every row is kept, the profile's own columns are returned, not
+    copies of them.
+    """
     s = profile.grid
     keep = np.asarray(profile.r, dtype=float) > 0.0
     if interval is not None:
@@ -181,9 +186,10 @@ def _grid_slice(profile: Profile, interval):
         keep &= (np.asarray(s, dtype=float) >= lo) & (np.asarray(s, dtype=float) <= hi)
         if not np.any(keep):
             raise OutOfGrid("no grid point with r > 0 inside the requested interval")
-    lam = profile.lam[keep] if profile.lam is not None else None
-    lamp = profile.lamp[keep] if profile.lamp is not None else None
-    return s[keep], profile.r[keep], profile.rp[keep], lam, lamp
+    columns = (s, profile.r, profile.rp, profile.lam, profile.lamp)
+    if np.all(keep):
+        return columns
+    return tuple(None if c is None else c[keep] for c in columns)
 
 
 def _fiber_gate(profile, fiber: FiberSpec, r, rp, tol: float) -> float:
@@ -192,20 +198,22 @@ def _fiber_gate(profile, fiber: FiberSpec, r, rp, tol: float) -> float:
     The allowance combines the user tolerance with a representation floor:
     float64-quantized inputs (e.g. CSV round trips) perturb (r')^2 + c2 r^2
     at relative machine scale of the individual terms, which dominates the
-    true drift on wide windows.
+    true drift on wide windows.  Both maxima are taken one block of
+    ``support.ROW_BLOCK`` rows at a time; a max over blocks is the max over
+    the window.
     """
     params = profile.params
-    cons = np.asarray(conserved_quantity(params, r, rp), dtype=float)
-    resid = float(np.max(np.abs(cons - fiber.kappa0)))
-    r64 = np.asarray(r, dtype=float)
-    rp64 = np.asarray(rp, dtype=float)
-    term_scale = float(
-        np.max(
-            rp64**2
-            + abs(params.c2) * r64**2
-            + abs(2.0 * params.a / (params.n - 2)) * r64 ** (2 - params.n)
-        )
-    )
+    a_term = abs(2.0 * params.a / (params.n - 2))
+
+    def block_maxima(rows):
+        cons = np.asarray(conserved_quantity(params, r[rows], rp[rows]), dtype=float)
+        r64 = np.asarray(r[rows], dtype=float)
+        rp64 = np.asarray(rp[rows], dtype=float)
+        terms = rp64**2 + abs(params.c2) * r64**2 + a_term * r64 ** (2 - params.n)
+        return np.max(np.abs(cons - fiber.kappa0)), np.max(terms)
+
+    maxima = [block_maxima(rows) for rows in row_blocks(np.size(r))]
+    resid, term_scale = (float(m) for m in np.max(maxima, axis=0))
     eps64 = float(np.finfo(np.float64).eps)
     allowance = tol * (1.0 + abs(fiber.kappa0)) + 64.0 * eps64 * term_scale
     if fiber.dim != params.n - 1:
@@ -300,13 +308,18 @@ def _frame_blocks(params: OdeParams, kappa0: float, s, r, rp, lam, lamp):
 
 def _lambda_floor(lam) -> float:
     """The potential floor of the conformal reconstruction: ``_LAMBDA_FLOOR``
-    times the sup of |lam| over the window under evaluation.
+    times the sup of |lam| over the window under evaluation, taken one row
+    block at a time.
 
     Raises AllPointsMasked when no point of the window clears it.
     """
-    abs_lam = np.abs(np.asarray(lam, dtype=float))
-    floor = _LAMBDA_FLOOR * float(np.max(abs_lam))
-    if not np.any(abs_lam > floor):
+    top = float(np.max([
+        np.max(np.abs(np.asarray(lam[rows], dtype=float))) for rows in row_blocks(np.size(lam))
+    ]))
+    floor = _LAMBDA_FLOOR * top
+    # Some |lam| clears the floor exactly when the sup does: it fails to only
+    # for a sup of 0, inf or nan.
+    if not top > floor:
         raise AllPointsMasked(
             "every grid point is below the potential floor; the conformal "
             "reconstruction is undefined on this window"

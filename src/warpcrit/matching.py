@@ -199,13 +199,19 @@ def _gauss_panels(sample: Callable, starts: np.ndarray, lens: np.ndarray) -> np.
     """Gauss-Legendre integrals of r/(r')^2 over [start, start + len] panels.
 
     ``sample`` maps arclengths to the rows (r, r', ...), as
-    ``Profile.sample_base`` does.
+    ``Profile.sample_base`` does.  It is handed the Gauss points of one
+    block of ``support.ROW_BLOCK`` panels at a time, and each block's
+    integrals go into one preallocated result, so a long range holds one
+    block of samples however many panels it has.
     """
     gx, gw = gauss_legendre(_GL_ORDER)
-    pts = starts[:, None] + lens[:, None] * gx[None, :]
-    v = sample(pts.ravel())
-    f = (v[0] / v[1] ** 2).reshape(pts.shape)
-    return lens * (f @ gw)
+    out = np.empty(starts.shape, dtype=_LD)
+    for rows in row_blocks(out.size):
+        pts = starts[rows, None] + lens[rows, None] * gx[None, :]
+        v = sample(pts.ravel())
+        f = (v[0] / v[1] ** 2).reshape(pts.shape)
+        out[rows] = lens[rows] * (f @ gw)
+    return out
 
 
 def _panel_quad(sample: Callable, nodes: np.ndarray) -> np.ndarray:

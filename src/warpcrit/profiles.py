@@ -253,8 +253,10 @@ class Profile:
 
     A profile may be *partial* (no potential attached; ``lam``/``lamp`` are
     None and ``C`` is None) or *complete*.  ``solve_potential`` upgrades a
-    partial profile without re-integrating.  Grids are stored in extended
-    precision; conversion to float64 happens only at serialization.
+    partial profile without re-integrating.  Integrated and closed-form
+    profiles store their grids in extended precision, rounded to float64 only
+    at serialization.  Grid profiles are the exception: an export grid and a
+    profile rebuilt from a CSV hold float64, the CSV's own precision.
     """
 
     params: OdeParams

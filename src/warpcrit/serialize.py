@@ -176,7 +176,8 @@ def write_profile_csv(path: str, profile: Profile) -> None:
 
 
 def read_profile_csv(path: str) -> dict:
-    """Columns of a profile CSV as float64 arrays, keyed by name."""
+    """Columns of a profile CSV, keyed by name: float64 views of the one
+    table ``np.loadtxt`` reads, so the file's data is held once."""
     try:
         with open(path, "r") as fh:
             header = fh.readline().strip()
@@ -194,7 +195,7 @@ def read_profile_csv(path: str) -> dict:
             f"profile CSV needs >= 2 rows of 5 columns, got shape {data.shape}"
         )
     names = CSV_HEADER.split(",")
-    return {name: np.ascontiguousarray(data[:, i]) for i, name in enumerate(names)}
+    return {name: data[:, i] for i, name in enumerate(names)}
 
 
 def profile_from_arrays(params: OdeParams, columns: dict) -> Profile:
@@ -202,7 +203,8 @@ def profile_from_arrays(params: OdeParams, columns: dict) -> Profile:
 
     The result carries no dense interpolant: verification and curvature
     evaluation on the stored grid work, arbitrary-point sampling does not.
-    The fiber curvature is re-derived from the conserved quantity.
+    The fiber curvature is re-derived from the conserved quantity
+    (``_median_kappa0``).
     """
     s = np.asarray(columns["s"], dtype=float)
     if s.size < 2 or np.any(~np.isfinite(s)) or np.any(np.diff(s) <= 0):
@@ -219,12 +221,7 @@ def profile_from_arrays(params: OdeParams, columns: dict) -> Profile:
         raise ConfigError("potential columns must be all-finite or all-nan")
     else:
         lam_arr, lamp_arr = lam, lamp
-    positive = r > 0.0
-    if not np.any(positive):
-        raise ConfigError("profile radius must be positive somewhere")
-    kappa0 = float(
-        np.median(np.asarray(conserved_quantity(params, r[positive], rp[positive]), dtype=float))
-    )
+    kappa0 = _median_kappa0(params, r, rp)
     i0 = int(np.argmin(np.abs(s)))
     return Profile(
         params=params,
@@ -239,3 +236,22 @@ def profile_from_arrays(params: OdeParams, columns: dict) -> Profile:
         C=None,
         s_min=float(s[0]),
     )
+
+
+def _median_kappa0(params: OdeParams, r: np.ndarray, rp: np.ndarray) -> float:
+    """The median of the conserved quantity over the rows with r > 0.
+
+    The values are computed one block of ``support.ROW_BLOCK`` rows at a
+    time into one float64 array, the median's only whole-length buffer.
+    Raises ConfigError when no row has r > 0.
+    """
+    cons = np.empty(r.size)
+    kept = 0
+    for rows in row_blocks(r.size):
+        positive = r[rows] > 0.0
+        block = conserved_quantity(params, r[rows][positive], rp[rows][positive])
+        cons[kept : kept + block.size] = block
+        kept += block.size
+    if not kept:
+        raise ConfigError("profile radius must be positive somewhere")
+    return float(np.median(cons[:kept], overwrite_input=True))

@@ -10,8 +10,9 @@ import numpy as np
 __all__ = ["ROW_BLOCK", "bisect_root", "gauss_legendre", "row_blocks"]
 
 # Rows per block of the per-point pipeline: dense evaluation of long queries,
-# CSV rendering and the verification reductions work one block at a time,
-# so their temporaries stay a fixed size however long the grid is.
+# the quadrature panels, the export grid, CSV rendering and the verification
+# reductions work one block at a time, so their temporaries stay a fixed size
+# however long the grid is.
 ROW_BLOCK = 8192
 
 

@@ -249,14 +249,22 @@ def test_construct_grid_step(tmp_path):
 
 
 def test_resample_equals_sample():
+    # The export is float64, the CSV's precision: each column is the
+    # longdouble sample rounded once, held in one (4, rows) table.
     base = integrate_profile(OdeParams(n=3, R=0.0, a=1.0), 1.0, 3.0)
     export = _resample(solve_potential(base, 0.2), 1e-2)
-    assert export.grid.size == 601
+    assert export.grid.size == 601 and export.grid.dtype == np.float64
     want = solve_potential(base, 0.2).sample(export.grid)
     for name in ("r", "rp", "lam", "lamp"):
-        assert np.array_equal(getattr(export, name), getattr(want, name)), name
+        got = getattr(export, name)
+        assert got.dtype == np.float64 and got.base.shape == (4, 601), name
+        assert np.array_equal(got, getattr(want, name).astype(float)), name
+    # A grid profile, as profile_from_arrays rebuilds: no dense base, closed
+    # form or even branch.
+    assert export._base is None and export._closed_form is None and export._lam0 is None
     partial = _resample(base, 1e-2)
     assert partial.lam is None and partial.C is None
+    assert partial.r.base.shape == (2, 601)
 
 
 # ----------------------------------------------------------------------

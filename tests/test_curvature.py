@@ -70,6 +70,21 @@ def test_flat_ball_is_flat():
     assert abs(c.lap + 1.5) < 1e-14, "flat potential has lap = -3/2"
 
 
+@pytest.mark.parametrize("pole", [False, True], ids=["integrated", "space_form"])
+def test_curvature_samples_are_fresh_arrays(pole):
+    # On the whole grid the columns reach the frame tensors uncopied; what
+    # comes back must still own its memory.
+    if pole:
+        prof = space_form_profile(0, 1.0, 3.0)  # the pole row is sliced off
+    else:
+        prof = _complete(OdeParams(n=3, R=-6.0, a=1.0))
+    t = curvature_samples(prof)
+    assert t["s"].size == prof.grid.size - pole
+    for name, values in t.items():
+        for column in (prof.grid, prof.r, prof.rp, prof.lam, prof.lamp):
+            assert not np.shares_memory(values, column), name
+
+
 def test_generic_anchor_values():
     # n=3, R=0, a=1, r0=1: r''(0) = a = 1, kappa0 = 2a/(n-2) = 2, so at s=0
     #   ric_ss = -(n-1) r''/r = -2,   ric_tan = kappa0 - 1 = 1,   scal = 0.

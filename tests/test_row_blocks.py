@@ -1,13 +1,15 @@
 """The per-point pipeline in fixed row blocks.
 
-Dense evaluation of long queries, the matching table's quadrature, CSV
-rendering and the verification reductions work one ``support.ROW_BLOCK``
+Dense evaluation of long queries, the matching table's and the improper
+tail's quadrature, the export grid, CSV rendering, the fiber curvature of a
+stored profile and the verification reductions work one ``support.ROW_BLOCK``
 block of rows at a time.  The results must not depend on the block size,
 bit for bit and sign bits included, and the memory of each stage must stay
 a block's worth on top of its output.
 """
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,13 +19,14 @@ from warpcrit import (
     AllPointsMasked,
     OdeParams,
     integrate_profile,
+    matching,
     solve_potential,
     support,
 )
-from warpcrit.cli import _resample
+from warpcrit.cli import _resample, main
 from warpcrit.curvature import verify_conformally_flat, verify_critical
 from warpcrit.matching import _base_panels, _table_nodes, c_threshold
-from warpcrit.serialize import write_csv
+from warpcrit.serialize import profile_from_arrays, read_profile_csv, write_csv
 
 LD = np.longdouble
 
@@ -114,6 +117,62 @@ def test_c_threshold_is_independent_of_the_block_size(monkeypatch):
     assert small.hex() == whole.hex() == default.hex()
 
 
+def test_extension_quadrature_samples_one_block_at_a_time(monkeypatch):
+    # Every Gauss point table goes to its sampler one block of panels at a
+    # time, the improper tail's extension included.
+    monkeypatch.setattr(support, "ROW_BLOCK", SMALL_BLOCK)
+    sizes = []
+    gauss_panels = matching._gauss_panels
+
+    def spy(sample, starts, lens):
+        def recorded(s):
+            sizes.append(np.size(s))
+            return sample(s)
+
+        return gauss_panels(recorded, starts, lens)
+
+    monkeypatch.setattr(matching, "_gauss_panels", spy)
+    c_threshold(integrate_profile(OdeParams(n=3, R=-6.0, a=1.0), 1.0, 3.0))
+    assert sum(sizes) > 10 * SMALL_BLOCK * matching._GL_ORDER
+    assert max(sizes) <= SMALL_BLOCK * matching._GL_ORDER
+
+
+def _construct(tmp_path, config, step):
+    """The CSV bytes of ``construct`` exported at ``step``."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(config, tag="export")))
+    argv = ["construct", "--config", str(cfg), "--out", str(tmp_path), "--grid-step", step]
+    assert main(argv) == 0
+    return (tmp_path / "export.csv").read_bytes()
+
+
+# 6 / 21: 22 rows, three blocks of seven and the one-point block.
+@pytest.mark.parametrize("config", [
+    {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0, "C": 0.25, "s_max": 3.0},
+    {"n": 3, "R": 6.0, "a": 1.0, "r0": 1.0, "s_max": 3.0},
+], ids=["complete", "constant"])
+def test_export_csv_is_independent_of_the_block_size(monkeypatch, tmp_path, config):
+    small, whole = _by_block_size(
+        monkeypatch, lambda: _construct(tmp_path, config, repr(6.0 / 21.0))
+    )
+    assert small == whole
+    assert small.count(b"\n") == 3 * SMALL_BLOCK + 2
+
+
+def test_verify_of_a_csv_is_independent_of_the_block_size(monkeypatch, tmp_path):
+    params = OdeParams(n=4, R=-12.0, a=0.0)
+    config = {"n": 4, "R": -12.0, "a": 0.0, "r0": 1.0, "C": 0.1, "s_max": 2.0}
+    _construct(tmp_path, config, "0.05")
+
+    def report():
+        prof = profile_from_arrays(params, read_profile_csv(str(tmp_path / "export.csv")))
+        return prof.kappa0.hex(), repr(verify_critical(prof))
+
+    small, whole = _by_block_size(monkeypatch, report)
+    assert "grid_size=81" in whole[1] and "max_einstein_residual=None" not in whole[1]
+    assert small == whole
+
+
 def _reports(monkeypatch, prof):
     return _by_block_size(
         monkeypatch, lambda: (repr(verify_critical(prof)), verify_conformally_flat(prof))
@@ -178,6 +237,7 @@ def _peak(run):
 
 @pytest.fixture(scope="module")
 def long_profile():
+    """A profile and its float64 export on a grid of POINTS rows."""
     prof = _profile(OdeParams(n=3, R=-6.0, a=1.0), C=0.25, s_max=4.0)
     export = _resample(prof, 7.99999e-5)
     assert export.grid.size == POINTS
@@ -186,12 +246,40 @@ def long_profile():
 
 def test_sample_base_peak_is_under_twice_its_output(long_profile):
     prof, export = long_profile
-    out, peak = _peak(lambda: prof.sample_base(export.grid))
+    grid = np.asarray(export.grid, dtype=LD)  # the query's own dtype
+    out, peak = _peak(lambda: prof.sample_base(grid))
     bases = {id(a.base): a.base for a in out}
     returned = sum(b.nbytes for b in bases.values())
     assert len(bases) == 1 and returned == POINTS * 4 * LD(0).nbytes
     # Measured 12.5 MB for 6.4 MB returned; the whole-array query took 74.5.
     assert peak < 2 * returned
+
+
+def test_resample_peak_is_its_table_and_a_few_blocks(long_profile, monkeypatch):
+    # Blocks of 1,024 rows, so that a block's dense-output temporaries
+    # (about 0.8 MB) stay small against the table.
+    prof, _ = long_profile
+    monkeypatch.setattr(support, "ROW_BLOCK", 1024)
+    export, peak = _peak(lambda: _resample(prof, 7.99999e-5))
+    table = export.r.base
+    assert table.shape == (4, POINTS) and table.dtype == np.float64
+    assert all(c.base is table for c in (export.rp, export.lam, export.lamp))
+    held = table.nbytes + export.grid.nbytes
+    assert held == 5 * 8 * POINTS
+    # Measured 4.9 MB (1.5x margin) for the 4.0 MB held; the longdouble
+    # export with whole-length temporaries took 12.8.
+    assert peak < 7.35 * MB
+
+
+def test_profile_from_arrays_peak_is_a_column_and_a_block(long_profile):
+    _, export = long_profile
+    names = ("s", "r", "rp", "lam", "lamp")
+    columns = dict(zip(names, (export.grid, export.r, export.rp, export.lam, export.lamp)))
+    prof, peak = _peak(lambda: profile_from_arrays(export.params, columns))
+    assert abs(prof.kappa0 - export.kappa0) < 1e-12
+    # Measured 1.7 MB (1.5x margin): one float64 column of conserved values
+    # and a block; the whole-window longdouble evaluation took 13.7.
+    assert peak < 2.6 * MB
 
 
 def test_write_csv_peak_is_a_few_blocks(long_profile, tmp_path):
@@ -206,6 +294,8 @@ def test_verify_critical_peak_is_bounded(long_profile):
     _, export = long_profile
     report, peak = _peak(lambda: verify_critical(export))
     assert report.grid_size == POINTS
-    # Measured 12.8 MB (1.5x margin), most of it the whole-window fiber gate
-    # and grid copies; the whole-window frame tensors took 41.7.
-    assert peak < 19.2 * MB
+    # Measured 4.5 MB (1.5x margin), the block temporaries alone: the gate,
+    # the floor and the residuals reduce by row block, and the columns are
+    # not copied.  The whole-window fiber gate and grid copies took 12.8,
+    # the whole-window frame tensors 41.7.
+    assert peak < 6.7 * MB
