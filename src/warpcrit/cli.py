@@ -17,8 +17,9 @@ which the envelope head uses too.  One runner,
 ``_run_task``, does the rest for a single run and for every entry of a
 ``"sweep": [...]`` config: it validates the config against the command's
 keys in ``_COMMANDS``, writes ``<tag>.json`` (the head ``command``,
-``params`` and ``tolerances``, then the payload), prints the summary line,
-and maps an exception to its exit code and one ``error:`` line on stderr.
+``params`` and ``tolerances``, then the payload) and prints the summary
+line.  One helper, ``_failure``, maps any exception to its exit code and one
+``error:`` line on stderr, for the runner and for ``main`` alike.
 A sweep runs its entries in contiguous chunks, in this process or on a
 process pool; each chunk first integrates its entries' profiles as one batch.
 
@@ -103,6 +104,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to parse") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -580,12 +583,19 @@ _COMMANDS = {
 # ----------------------------------------------------------------------
 
 
-def _exit_for(exc: WarpcritError) -> int:
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and ``error:`` message of an exception; any other than a
+    toolkit error is an internal error (exit 3), named by its class and
+    innermost frame instead of a traceback."""
     if isinstance(exc, VerificationError):
-        return 1
+        return 1, str(exc)
     if isinstance(exc, InputError):
-        return 2
-    return 3
+        return 2, str(exc)
+    if isinstance(exc, WarpcritError):
+        return 3, str(exc)
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    where = f"{type(exc).__name__} at {os.path.basename(frame.filename)}:{frame.lineno}"
+    return 3, f"internal error ({where}): {exc}"
 
 
 def _run_task(command: str, config: dict, ctx: dict) -> dict:
@@ -593,9 +603,8 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
 
     The config is validated against the command's keys first; its parameters
     and tolerances, resolved once here, reach the command in ``ctx`` and
-    head the envelope.  Any exception other than a toolkit error is an
-    internal error: exit 3, and one line naming its class and innermost frame
-    instead of a traceback.
+    head the envelope.  An exception becomes its exit code and one
+    ``error:`` line (``_failure``).
     """
     tag = config.get("tag", "profile" if command == "construct" else command)
     run, required, optional, _, defaults = _COMMANDS[command]
@@ -610,12 +619,8 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
         write_envelope(os.path.join(ctx["out"], f"{tag}.json"), {**head, **payload})
         print(line)
         return {"tag": tag, "exit": code}
-    except WarpcritError as exc:
-        code, message = _exit_for(exc), str(exc)
     except Exception as exc:
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{type(exc).__name__} at {os.path.basename(frame.filename)}:{frame.lineno}"
-        code, message = 3, f"internal error ({where}): {exc}"
+        code, message = _failure(exc)
     print(f"error: {message}", file=sys.stderr)
     return {"tag": tag, "exit": code, "error": message}
 
@@ -733,9 +738,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot use output directory {args.out}: {exc}") from exc
         if "sweep" in config:
             return _run_sweep(args.command, config, ctx)
-    except WarpcritError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_for(exc)
+    except Exception as exc:
+        code, message = _failure(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
     return _run_task(args.command, config, ctx)["exit"]
 
 

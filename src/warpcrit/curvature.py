@@ -396,7 +396,7 @@ def level_set_geometry(profile: Profile, s: float) -> LevelSetData:
     einstein = None
     if profile.params.a == 0.0:
         lam = float(v.lam[0])
-        kap = profile.params.R / (n * (n - 1))
+        kap = profile.params.c2
         # Second fundamental form w.r.t. the potential-gradient normal:
         # sign(lamp) * umbilic must equal (-kap*lam - 1/(n-1)) / |lamp|.
         einstein = abs(math.copysign(umbilic, lamp) - (-kap * lam - 1.0 / (n - 1)) / abs(lamp))

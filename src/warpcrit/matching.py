@@ -163,8 +163,6 @@ class MatchResult:
     C: float
     zeta2_from_root: float  # negative; direct root of lam = lam0 + C r'
     discrepancy: float  # |zeta2 - zeta2_from_root|
-    integral_left: float  # int_{-theta}^{zeta2} r/(r')^2
-    integral_right: float  # int_theta^{zeta1} r/(r')^2
 
 
 @dataclass(frozen=True)
@@ -306,15 +304,10 @@ def _check_no_critical_points(profile: Profile, lo: float, hi: float) -> None:
         )
 
 
-def _tail_mass(params: OdeParams) -> float:
-    """Decay rate m = sqrt(-R/(n(n-1))) of the R < 0 asymptotics."""
-    return math.sqrt(-params.R / (params.n * (params.n - 1)))
-
-
 def _improper_from(profile: Profile, s_from: float) -> float:
     """Integral of r/(r')^2 from s_from to +infinity for R < 0."""
     params = profile.params
-    m = _tail_mass(params)
+    m = math.sqrt(-params.c2)  # the decay rate of the R < 0 asymptotics
     # Denominators of the formula error below; they underflow to zero only
     # when |R| is too small for the estimate to be formed at all.
     d5, d7 = (params.n + 1) * m**5, m**7
@@ -675,16 +668,12 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
             "the two characterizations disagree"
         )
     zeta2_root = min(cands, key=lambda t: abs(t - zeta2))
-
-    g_left = -table.value(profile, y)  # int_{-theta}^{zeta2} by evenness
     return MatchResult(
         zeta1=zeta1,
         zeta2=zeta2,
         C=C,
         zeta2_from_root=zeta2_root,
         discrepancy=abs(zeta2 - zeta2_root),
-        integral_left=g_left,
-        integral_right=g1,
     )
 
 

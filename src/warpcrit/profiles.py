@@ -26,9 +26,10 @@ Profiles are anchored at a critical point of r: ``r(0) = r0 > 0``,
 ``r'(0) = 0``, on the mirrored window ``[-s_max, s_max]``.  A profile has
 a dense base (``_base``), a closed form (``_closed_form``: the constant
 solution, and the space forms, ``a = 0`` anchored at a pole ``r = 0`` on
-``[0, s_max]``), or only a grid rebuilt from stored columns.  Two checks
-decide what each kind supports: ``Profile._dense`` (InvalidRegime) and
-``solve_potential``'s even-branch check (DegenerateInitial).
+``[0, s_max]``), or only a grid rebuilt from stored columns.  One predicate,
+whether it has a dense base, decides what each kind supports:
+``Profile._dense`` raises InvalidRegime and ``solve_potential``
+DegenerateInitial.  lam0 and lam0' are held only in the base.
 """
 
 from __future__ import annotations
@@ -272,13 +273,11 @@ class Profile:
     constant_solution: bool = False
     s_min: float = field(default=None)  # type: ignore[assignment]
     diagnostics: dict = field(default_factory=dict)
-    # Internals: dense base solution on [0, s_max] with components
-    # (r, r', lam0, lam0'), outward extensions for improper tails, closed
+    # Internals: dense base on [0, s_max] with components (r, r', lam0,
+    # lam0'), lam0's only copy; outward extensions for improper tails, closed
     # forms (returning r, r', lam, lam'), cached roots and matching tables.
     _base: DenseSolution | None = field(default=None, repr=False)
     _closed_form: Callable | None = field(default=None, repr=False)
-    _lam0: np.ndarray | None = field(default=None, repr=False)
-    _lam0p: np.ndarray | None = field(default=None, repr=False)
     _extension: DenseSolution | None = field(default=None, repr=False)
     _roots: RootSet | None = field(default=None, repr=False)
     _theta: float | None = field(default=None, repr=False)
@@ -408,14 +407,10 @@ def _rhs_functions(f: _Fields):
     return fun, d2fun
 
 
-def _mirror_grid(base: DenseSolution):
-    """Full mirrored node grid and parity-extended state arrays."""
-    ts = base.ts
-    ys = base.ys
-    grid = np.concatenate([-ts[::-1], ts[1:]])
-    even = lambda col: np.concatenate([ys[::-1, col], ys[1:, col]])
-    odd = lambda col: np.concatenate([-ys[::-1, col], ys[1:, col]])
-    return grid, even(0), odd(1), even(2), odd(3)
+def _mirror(half: np.ndarray, odd: bool) -> np.ndarray:
+    """Values at the base nodes on [0, s_max] extended by parity to the full
+    mirrored node grid: reflected, and negated when ``odd``."""
+    return np.concatenate([-half[::-1] if odd else half[::-1], half[1:]])
 
 
 def _anchor_state(params: OdeParams, r0: float, s_max: float):
@@ -570,7 +565,8 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
                 "the profile leaves the positive-radius regime inside the window"
             )
 
-    grid, r, rp, lam0, lam0p = _mirror_grid(base)
+    grid = _mirror(base.ts, True)
+    r, rp = _mirror(base.ys[:, 0], False), _mirror(base.ys[:, 1], True)
     kappa0_ld = conserved_quantity(params, _LD(r0), _LD(0.0))
     cons = conserved_quantity(params, r, rp) - kappa0_ld
     cons_rel = float(np.max(np.abs(cons)) / max(abs(float(kappa0_ld)), 1.0))
@@ -590,8 +586,6 @@ def integrate_profile(params: OdeParams, r0: float, s_max: float) -> Profile:
             "nfev": base.nfev,
         },
         _base=base,
-        _lam0=lam0,
-        _lam0p=lam0p,
     )
 
 
@@ -599,13 +593,14 @@ def solve_potential(profile: Profile, C: float) -> Profile:
     """Attach the potential lam = lam0 + C r' to a profile.
 
     Purely algebraic: the even branch lam0 was integrated jointly with the
-    warp factor, and r' spans the remaining homogeneous freedom.  Returns a
-    new complete Profile sharing the dense base with the input.
+    warp factor, and r' spans the remaining homogeneous freedom; lam0, lam0'
+    are mirrored from the dense base as r, r' are.  Returns a new complete
+    Profile sharing the dense base with the input.
 
-    The one even-branch check: raises DegenerateInitial for a profile
-    without lam0, which only an integrated profile carries.
+    The one even-branch check, ``Profile._dense``'s predicate: raises
+    DegenerateInitial for a profile without a dense base.
     """
-    if profile._lam0 is None:
+    if profile._base is None:
         raise DegenerateInitial(
             "profile carries no even potential branch: the constant solution "
             "admits no potential, and a closed form or a rebuilt grid has none"
@@ -614,16 +609,13 @@ def solve_potential(profile: Profile, C: float) -> Profile:
     if not math.isfinite(C):
         raise RangeError(f"family parameter must be finite, got {C!r}")
 
-    lam = profile._lam0 + _LD(C) * profile.rp
-    lamp = profile._lam0p + _LD(C) * warp_accel(profile.params, profile.r)
+    racc = warp_accel(profile.params, profile.r)
+    lam = _mirror(profile._base.ys[:, 2], False) + _LD(C) * profile.rp
+    lamp = _mirror(profile._base.ys[:, 3], True) + _LD(C) * racc
 
     # First-order compatibility: r' lam' - r'' lam + r/(n-1) = 0 identically.
     n = profile.params.n
-    ident = (
-        profile.rp * lamp
-        - warp_accel(profile.params, profile.r) * lam
-        + profile.r / _LD(n - 1)
-    )
+    ident = profile.rp * lamp - racc * lam + profile.r / _LD(n - 1)
     ident_rel = float(np.max(np.abs(ident)) / max(float(np.max(profile.r)), 1.0))
 
     diag = dict(profile.diagnostics)

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
@@ -185,7 +186,10 @@ def read_profile_csv(path: str) -> dict:
                 raise ConfigError(
                     f"unexpected CSV header {header!r}; want {CSV_HEADER!r}"
                 )
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # A table without rows is refused below; numpy's warning would be a second line.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read profile CSV: {exc}") from exc
     except ValueError as exc:

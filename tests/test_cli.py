@@ -16,6 +16,7 @@ import pytest
 
 from warpcrit import (
     ConfigError,
+    DegenerateInitial,
     OdeParams,
     integrate_profile,
     profile_from_arrays,
@@ -261,7 +262,9 @@ def test_resample_equals_sample():
         assert np.array_equal(got, getattr(want, name).astype(float)), name
     # A grid profile, as profile_from_arrays rebuilds: no dense base, closed
     # form or even branch.
-    assert export._base is None and export._closed_form is None and export._lam0 is None
+    assert export._base is None and export._closed_form is None
+    with pytest.raises(DegenerateInitial):
+        solve_potential(export, 0.0)
     partial = _resample(base, 1e-2)
     assert partial.lam is None and partial.C is None
     assert partial.r.base.shape == (2, 601)
@@ -465,6 +468,7 @@ _PINNED_LINES = {
         ("construct", '{"n": 3, "R": 1e300, "a": 1.0, "r0": 1.0}', []),
         *(("schwarzschild", f'{{"n": 3, "R": -6.0, "a": {a}}}', [])
           for a in ("1e7", "1e12", "1e20")),
+        ("construct", "[" * 200000 + "]" * 200000, []),
     ],
     ids=[
         "root_list", "sweep_object", "sweep_entry_number", "workers_negative",
@@ -476,6 +480,7 @@ _PINNED_LINES = {
         "example2_constant_solution", "signs_constant_solution", "zeta1_1e-300",
         "schwarzschild_short_window", "signs_short_window", "n1000_tiny_r0", "R_1e300",
         "schwarzschild_a_1e7", "schwarzschild_a_1e12", "schwarzschild_a_1e20",
+        "config_nested_too_deeply",
     ],
 )
 def test_input_error_exits_2_with_one_line(tmp_path, capsys, command, text, flags):
@@ -512,10 +517,14 @@ def _assert_one_line_input_error(tmp_path, capsys, command, text, flags=()):
         ("s,r,rp,lam,lamp\n-1,1.5,-1,nan,0.5\n0,1,0,1,0\n", {}),
         ("s,r,rp,lam,lamp\n-1,-1,-1,0.5,0.5\n0,0,0,1,0\n", {}),
         ("s,r,rp,lam,lamp\n-1,1.5,-1,0.5,0.5\n0,1,0,1,0\n", {"interval": [2.0, 3.0]}),
+        ("s,r,rp,lam,lamp\n", {}),
     ],
     ids=["non_numeric", "one_row", "four_columns", "s_not_increasing", "r_nan",
-         "lam_partly_nan", "r_not_positive", "interval_without_grid_points"],
+         "lam_partly_nan", "r_not_positive", "interval_without_grid_points", "header_only"],
 )
+# A warning would be a second stderr line of the process; pytest captures
+# warnings, so each is made an error here.
+@pytest.mark.filterwarnings("error")
 def test_verify_input_error_exits_2_with_one_line(tmp_path, capsys, csv, extra):
     path = tmp_path / "p.csv"
     path.write_text(csv)
@@ -953,6 +962,23 @@ def test_internal_error_in_sweep_keeps_the_summary(tmp_path, capsys, monkeypatch
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_failure_outside_a_task_exits_3_with_one_line(tmp_path, capsys):
+    # The sweep summary cannot be written: its path is a directory.  The
+    # failure happens after every task has run, outside the task runner.
+    (tmp_path / "construct_sweep.json").mkdir()
+    cfg = _write_config(
+        tmp_path / "sweep.json",
+        {"n": 3, "R": -6.0, "a": 1.0, "s_max": 1.0, "workers": 1,
+         "sweep": [{"r0": 1.0}, {"r0": 1.1}]},
+    )
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: internal error (IsADirectoryError at ")
+
+
 # ----------------------------------------------------------------------
 # sweeps and process entry
 # ----------------------------------------------------------------------
@@ -1145,15 +1171,19 @@ def test_prefetch_is_cleared_after_an_internal_error(tmp_path, capsys, monkeypat
     assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert profiles._PREFETCH == {}
 
-    # An exception that escapes the sweep itself still empties the store.
+    # An exception that escapes the sweep itself still empties the store,
+    # and main maps it to exit 3 and one line.
     def escape(command, config, ctx):
         assert profiles._PREFETCH, "the batch ran before the first entry"
         raise RuntimeError("escaped")
 
     monkeypatch.setattr(cli, "_run_task", escape)
-    with pytest.raises(RuntimeError, match="escaped"):
-        main(["construct", "--config", cfg, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert profiles._PREFETCH == {}
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error (RuntimeError at ") and err.endswith(": escaped\n")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("count", [1, 2])

@@ -376,8 +376,9 @@ def test_matching_two_routes_agree(name, request):
     scale = max(1.0, float(np.max(np.abs(np.asarray(comp.lam, dtype=float)))))
     assert abs(lam1) <= 1e-9 * scale
     assert abs(lam2) <= 1e-9 * scale
-    # Matching relation between the two signed integrals.
-    assert res.integral_right == pytest.approx(res.integral_left, rel=1e-8, abs=1e-10)
+    # Matching relation G(-zeta2) = -G(zeta1) = -(n-1) C.
+    g_left = cumulative_integral(prof, -res.zeta2)
+    assert g_left == pytest.approx(-(prof.params.n - 1) * res.C, rel=1e-8, abs=1e-10)
 
 
 def test_matching_monotone_pairing(neg_profile):

@@ -30,6 +30,7 @@ from warpcrit import (
     solve_radius_for_kappa0,
     space_form_profile,
 )
+from warpcrit.cli import _resample
 from warpcrit.profiles import _node_roots
 
 # Parameter samples covering every sign regime (n, R, a).
@@ -470,6 +471,40 @@ def test_profiles_without_a_dense_base(make):
         prof.theta
     with pytest.raises(DegenerateInitial):
         solve_potential(prof, 0.0)
+
+
+
+def _csv_grid():
+    prof = solve_potential(integrate_profile(_OSC, 0.8, 2.0), 0.1)
+    names = ("s", "r", "rp", "lam", "lamp")
+    cols = dict(zip(names, (prof.grid, prof.r, prof.rp, prof.lam, prof.lamp)))
+    return profile_from_arrays(_OSC, cols)
+
+
+@pytest.mark.parametrize(
+    "make, dense",
+    [
+        (lambda: integrate_profile(_OSC, 0.8, 2.0), True),
+        (lambda: integrate_profile(_OSC, critical_radius(_OSC), 2.0), False),
+        (lambda: space_form_profile(-1, lambda_p=1.0, s_max=2.0), False),
+        (lambda: _resample(solve_potential(integrate_profile(_OSC, 0.8, 2.0), 0.1), 0.01),
+         False),
+        (_csv_grid, False),
+    ],
+    ids=["integrated", "constant_solution", "space_form", "export_grid", "csv_grid"],
+)
+def test_one_predicate_decides_dense_base_and_even_branch(make, dense):
+    # Profile._dense and solve_potential's even-branch check test the same
+    # predicate, so each raises exactly when the other does.
+    prof = make()
+    if dense:
+        prof._dense()
+        assert solve_potential(prof, 0.3).complete
+    else:
+        with pytest.raises(InvalidRegime, match="no dense base"):
+            prof._dense()
+        with pytest.raises(DegenerateInitial, match="no even potential branch"):
+            solve_potential(prof, 0.3)
 
 
 if __name__ == "__main__":
