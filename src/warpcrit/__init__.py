@@ -23,6 +23,7 @@ from .errors import (
     WarpcritError,
 )
 from .profiles import (
+    FiberSpec,
     OdeParams,
     Profile,
     ProfileValues,
@@ -39,7 +40,6 @@ from .profiles import (
 )
 from .matching import (
     BoundaryFace,
-    FiberSpec,
     MatchedDomain,
     MatchResult,
     SchwarzschildChart,

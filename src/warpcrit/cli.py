@@ -46,14 +46,13 @@ import numpy as np
 from .curvature import verify_critical
 from .errors import ConfigError, InputError, VerificationError, WarpcritError
 from .matching import (
-    FiberSpec,
     build_quotient_domain,
     build_two_boundary_domain,
-    require_quotient,
-    require_two_boundary,
+    require_domain_regime,
     schwarzschild_form,
 )
 from .profiles import (
+    FiberSpec,
     OdeParams,
     Profile,
     find_roots,
@@ -327,7 +326,7 @@ def _run_verification(profile: Profile, fiber, interval, tols: dict) -> tuple[st
         "max_einstein_residual": tols["einstein"],
     }
     failed = any(
-        residuals[name] is not None and residuals[name] > allow
+        residuals[name] is not None and not residuals[name] <= allow
         for name, allow in allowances.items()
     )
     return ("fail" if failed else "pass"), residuals
@@ -541,7 +540,7 @@ _COMMANDS = {
         cmd_match,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber, write_profile=_want_bool),
-        lambda params, _: require_two_boundary(params),
+        lambda params, _: require_domain_regime(params),
         {},
     ),
     "spectrum": (
@@ -565,14 +564,14 @@ _COMMANDS = {
         cmd_example1,
         dict(_PARAM_KEYS, r0=_want_num, zeta1=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
-        lambda params, _: require_two_boundary(params),
+        lambda params, _: require_domain_regime(params),
         _VERIFY_DEFAULTS,
     ),
     "example2": (
         cmd_example2,
         dict(_PARAM_KEYS, r0=_want_num),
         dict(_COMMON_OPT, s_max=_want_num, fiber=_want_fiber),
-        lambda params, _: require_quotient(params),
+        lambda params, _: require_domain_regime(params),
         _VERIFY_DEFAULTS,
     ),
 }
@@ -584,9 +583,9 @@ _COMMANDS = {
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
-    """The exit code and ``error:`` message of an exception; any other than a
-    toolkit error is an internal error (exit 3), named by its class and
-    innermost frame instead of a traceback."""
+    """The exit code and ``error:`` message of an exception; a floating-point
+    fault and any other than a toolkit error (an internal error) exit 3, named
+    by their innermost frame instead of a traceback."""
     if isinstance(exc, VerificationError):
         return 1, str(exc)
     if isinstance(exc, InputError):
@@ -594,8 +593,10 @@ def _failure(exc: Exception) -> tuple[int, str]:
     if isinstance(exc, WarpcritError):
         return 3, str(exc)
     frame = traceback.extract_tb(exc.__traceback__)[-1]
-    where = f"{type(exc).__name__} at {os.path.basename(frame.filename)}:{frame.lineno}"
-    return 3, f"internal error ({where}): {exc}"
+    where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+    if isinstance(exc, FloatingPointError):
+        return 3, f"floating-point fault at {where}: {exc}"
+    return 3, f"internal error ({type(exc).__name__} at {where}): {exc}"
 
 
 def _run_task(command: str, config: dict, ctx: dict) -> dict:
@@ -603,8 +604,9 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
 
     The config is validated against the command's keys first; its parameters
     and tolerances, resolved once here, reach the command in ``ctx`` and
-    head the envelope.  An exception becomes its exit code and one
-    ``error:`` line (``_failure``).
+    head the envelope.  The command runs with numpy raising on overflow,
+    division by zero and invalid operations.  An exception becomes its exit
+    code and one ``error:`` line (``_failure``).
     """
     tag = config.get("tag", "profile" if command == "construct" else command)
     run, required, optional, _, defaults = _COMMANDS[command]
@@ -614,7 +616,8 @@ def _run_task(command: str, config: dict, ctx: dict) -> dict:
         # The command's defaults, then the config's tolerances, then --tol.
         tols = {**defaults, **config.get("tolerances", {}), **ctx["tols"]}
         tols = {k: float(v) for k, v in tols.items()}
-        code, payload, line = run(config, dict(ctx, tag=tag, params=params, tolerances=tols))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code, payload, line = run(config, dict(ctx, tag=tag, params=params, tolerances=tols))
         head = {"command": command, "tolerances": tols, "params": _params_record(params)}
         write_envelope(os.path.join(ctx["out"], f"{tag}.json"), {**head, **payload})
         print(line)

@@ -8,6 +8,10 @@ equation, and checks the conformal-flatness reconstruction of the sectional
 curvatures from the potential.  Second derivatives of the potential always
 come from its governing ODE, never from finite differences.
 
+The verifiers check a declared ``profiles.FiberSpec`` and evaluate one row
+block at a time; one reduction, ``_window_max``, which propagates NaN, gives
+every maximum over the window, and each check fails on a NaN.
+
 Sign conventions: the mean curvature H of a level {s = const} is taken with
 respect to d/ds (increasing s); boundary exports flip the sign on the left
 face where the outward normal is -d/ds.
@@ -28,8 +32,8 @@ from .errors import (
     InvalidRegime,
     OutOfGrid,
 )
-from .matching import FiberSpec
 from .profiles import (
+    FiberSpec,
     OdeParams,
     Profile,
     conserved_quantity,
@@ -199,10 +203,10 @@ def _fiber_gate(profile, fiber: FiberSpec, r, rp, tol: float) -> float:
     float64-quantized inputs (e.g. CSV round trips) perturb (r')^2 + c2 r^2
     at relative machine scale of the individual terms, which dominates the
     true drift on wide windows.  Both maxima are taken one block of
-    ``support.ROW_BLOCK`` rows at a time; a max over blocks is the max over
-    the window.
+    ``support.ROW_BLOCK`` rows at a time (``_window_max``).
     """
     params = profile.params
+    fiber.require_dim(params.n)
     a_term = abs(2.0 * params.a / (params.n - 2))
 
     def block_maxima(rows):
@@ -213,20 +217,22 @@ def _fiber_gate(profile, fiber: FiberSpec, r, rp, tol: float) -> float:
         return np.max(np.abs(cons - fiber.kappa0)), np.max(terms)
 
     maxima = [block_maxima(rows) for rows in row_blocks(np.size(r))]
-    resid, term_scale = (float(m) for m in np.max(maxima, axis=0))
+    resid, term_scale = (_window_max(column) for column in zip(*maxima))
     eps64 = float(np.finfo(np.float64).eps)
     allowance = tol * (1.0 + abs(fiber.kappa0)) + 64.0 * eps64 * term_scale
-    if fiber.dim != params.n - 1:
-        raise FiberMismatch(
-            f"fiber dimension {fiber.dim} does not match n-1 = {params.n - 1}"
-        )
-    if resid > allowance:
+    if not resid <= allowance:
         raise FiberMismatch(
             f"declared fiber curvature {fiber.kappa0:.12g} is inconsistent with "
             f"the profile: conserved-quantity residual {resid:.3e} exceeds "
             f"allowance {allowance:.3e}"
         )
     return resid
+
+
+def _window_max(maxima) -> float:
+    """``np.max`` of the maxima of each row block (numbers, tuples of them, or
+    None for a block with no point under evaluation): the max over the window."""
+    return float(np.max([m for m in maxima if m is not None]))
 
 
 def verify_critical(
@@ -247,9 +253,7 @@ def verify_critical(
     scalar-curvature deviation |scal - R|, the conformal-flatness
     reconstruction residual, and (for a = 0) the Einstein reduction.  The
     declared fiber is gated against the conserved quantity first
-    (FiberMismatch).  The residuals are evaluated and reduced to their
-    maxima one block of ``support.ROW_BLOCK`` grid points at a time, which
-    bounds the memory and gives the maxima of the whole window exactly.
+    (FiberMismatch).  The residuals are reduced one row block at a time.
     """
     if not profile.complete:
         raise InvalidRegime("verification requires a profile with a potential")
@@ -264,7 +268,9 @@ def verify_critical(
     one = _LD(1.0)
     kap = _LD(params.R) / _LD(n * (n - 1))
     crit, scal, weyl, einstein = [], [], [], []
-    for t, lam_ld in _frame_blocks(params, fiber.kappa0, s, r, rp, lam, lamp):
+    for rows in row_blocks(np.size(s)):
+        t = _frame_tensors(params, fiber.kappa0, s[rows], r[rows], rp[rows], lam[rows], lamp[rows])
+        lam_ld = np.asarray(lam[rows], dtype=_LD)
         ss = -t["lap"] + t["hess_ss"] - lam_ld * t["ric_ss"] - one
         tan = -t["lap"] + t["hess_tan"] - lam_ld * t["ric_tan"] - one
         trace = t["lap"] + (_LD(params.R) * lam_ld + _LD(n)) / _LD(n - 1)
@@ -280,30 +286,12 @@ def verify_critical(
             ))
 
     return ResidualReport(
-        max_critical_residual=_max_over_blocks(crit),
-        max_scal_deviation=float(np.max(scal)),
-        max_weyl_residual=_max_over_blocks(weyl),
-        max_einstein_residual=_max_over_blocks(einstein) if einstein else None,
+        max_critical_residual=_window_max(crit),
+        max_scal_deviation=_window_max(scal),
+        max_weyl_residual=_window_max(weyl),
+        max_einstein_residual=_window_max(einstein) if einstein else None,
         grid_size=int(np.size(s)),
     )
-
-
-def _max_over_blocks(maxima) -> float:
-    """The max over the window of quantities reduced one block at a time.
-
-    ``maxima`` holds one tuple of per-quantity maxima per block, or None
-    for a block with no point under evaluation.  Each quantity is combined
-    over the blocks by ``np.max``, which propagates NaN, and the quantities
-    by ``max`` in their order, as over the whole window at once.
-    """
-    return float(max(*np.max([m for m in maxima if m is not None], axis=0)))
-
-
-def _frame_blocks(params: OdeParams, kappa0: float, s, r, rp, lam, lamp):
-    """``_frame_tensors`` and lam in longdouble, one row block at a time."""
-    for rows in row_blocks(np.size(s)):
-        t = _frame_tensors(params, kappa0, s[rows], r[rows], rp[rows], lam[rows], lamp[rows])
-        yield t, np.asarray(lam[rows], dtype=_LD)
 
 
 def _lambda_floor(lam) -> float:
@@ -313,9 +301,9 @@ def _lambda_floor(lam) -> float:
 
     Raises AllPointsMasked when no point of the window clears it.
     """
-    top = float(np.max([
+    top = _window_max(
         np.max(np.abs(np.asarray(lam[rows], dtype=float))) for rows in row_blocks(np.size(lam))
-    ]))
+    )
     floor = _LAMBDA_FLOOR * top
     # Some |lam| clears the floor exactly when the sup does: it fails to only
     # for a sup of 0, inf or nan.
@@ -364,10 +352,11 @@ def verify_conformally_flat(
     kappa0 = profile.kappa0 if fiber is None else fiber.kappa0
     s, r, rp, lam, lamp = _grid_slice(profile, interval)
     floor = _lambda_floor(lam)
-    blocks = _frame_blocks(profile.params, kappa0, s, r, rp, lam, lamp)
-    return _max_over_blocks(
-        _conformal_residual(t, lam_ld, profile.params, floor) for t, lam_ld in blocks
-    )
+    maxima = []
+    for rows in row_blocks(np.size(s)):
+        t = _frame_tensors(profile.params, kappa0, s[rows], r[rows], rp[rows], lam[rows], lamp[rows])
+        maxima.append(_conformal_residual(t, np.asarray(lam[rows], dtype=_LD), profile.params, floor))
+    return _window_max(maxima)
 
 
 def level_set_geometry(profile: Profile, s: float) -> LevelSetData:

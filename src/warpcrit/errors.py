@@ -59,7 +59,8 @@ class NonPositiveRadius(NumericalError):
 
 
 class StepFailure(NumericalError):
-    """Adaptive step size underflowed without meeting the error tolerance."""
+    """The integrator cannot cover its window: the step size underflows, or
+    the step budget is, or by its pace would be, spent."""
 
 
 class DegenerateInitial(InputError):
@@ -72,7 +73,8 @@ class DegenerateInitial(InputError):
 
 
 class RangeError(InputError):
-    """A requested coordinate range leaves the validity domain of a closed form."""
+    """A parameter outside its accepted range: n, R, a, C, r0, a window, a
+    space form's curvature, a kappa0 branch, or the eigenvalue grid."""
 
 
 # --- boundary matching ----------------------------------------------------
@@ -86,7 +88,9 @@ class SingularEndpoint(NumericalError):
 
 
 class OutOfRange(InputError):
-    """The requested boundary location has no matched partner in this regime."""
+    """A requested value has no admissible answer: a root or tail matching
+    cannot reach, a kappa0 no anchor radius or horizon attains, a window with
+    no theta, or a fiber dimension below 2."""
 
 
 class NoFreeInvolution(InputError):

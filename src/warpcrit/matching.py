@@ -21,6 +21,9 @@ Improper tails use the asymptotics r' ~ m r, m = sqrt(-R/(n(n-1))): the
 remainder past a truncation with r(S) large is n(n-1)/((-R) r'(S)), accurate
 to O(r(S)^-3) relative, and the truncation is pushed until the estimated
 formula error is below 1e-10 of the total.
+
+Both domain builders check a > 0 (``require_domain_regime``) and certify
+the fiber, a ``profiles.FiberSpec``; each check of a domain fails on a NaN.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .errors import (
     VerificationError,
 )
 from .profiles import (
+    FiberSpec,
     OdeParams,
     Profile,
     _node_roots,
@@ -58,7 +62,6 @@ from .rk45 import hermite_quintic
 from .support import bisect_root, gauss_legendre, row_blocks
 
 __all__ = [
-    "FiberSpec",
     "BoundaryFace",
     "MatchedDomain",
     "MatchResult",
@@ -102,28 +105,6 @@ _FIBER_TOL = 1e-10
 
 # Relative band of classify_roots around the threshold C0.
 _CLASSIFY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FiberSpec:
-    """Symbolic description of the fiber (N, h).
-
-    The geometry enters only through the dimension and the Einstein constant
-    kappa0 (sectional curvature of h when dim >= 2 forces constant
-    curvature at this Einstein scaling).  ``symmetry`` flags that N carries
-    a free involution (e.g. the antipodal map of a round sphere), which the
-    quotient construction requires.
-    """
-
-    dim: int
-    kappa0: float
-    symmetry: bool = False
-
-    def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise OutOfRange(f"fiber dimension must be an integer >= 2, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "kappa0", float(self.kappa0))
 
 
 @dataclass(frozen=True)
@@ -682,28 +663,11 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
 # ----------------------------------------------------------------------
 
 
-def _check_fiber(profile: Profile, fiber: FiberSpec) -> None:
-    if fiber.dim != profile.params.n - 1:
-        raise FiberMismatch(
-            f"fiber dimension {fiber.dim} does not match n-1 = {profile.params.n - 1}"
-        )
-    scale = max(1.0, abs(profile.kappa0))
-    if abs(fiber.kappa0 - profile.kappa0) > _FIBER_TOL * scale:
-        raise FiberMismatch(
-            f"fiber curvature {fiber.kappa0:.12g} inconsistent with the "
-            f"profile's conserved value {profile.kappa0:.12g}"
-        )
-    if profile.params.R >= 0.0 and fiber.kappa0 <= 0.0:
-        raise FiberMismatch(
-            "the fiber curvature must be positive when R >= 0"
-        )
-
-
 def _interior_positivity(profile: Profile, lo: float, hi: float) -> None:
     pad = max(10 * _LAMBDA_ROOT_TOL, 1e-6 * (hi - lo))
     xs = np.linspace(lo + pad, hi - pad, 2001)
     lam = np.asarray(profile.sample(xs).lam, dtype=float)
-    if np.min(lam) <= 0.0:
+    if not np.min(lam) > 0.0:
         i = int(np.argmin(lam))
         raise InvalidRegime(
             f"potential is not positive inside the domain (lam({xs[i]:.6g}) = "
@@ -724,14 +688,21 @@ def _certified_domain(
     v = complete.sample([lo, hi])
     lam2, lam1 = (float(x) for x in v.lam)
     scale = max(1.0, float(np.max(np.abs(np.asarray(complete.lam, dtype=float)))))
-    if abs(lam1) > _LAMBDA_ROOT_TOL * scale or abs(lam2) > _LAMBDA_ROOT_TOL * scale:
+    if not (abs(lam1) <= _LAMBDA_ROOT_TOL * scale and abs(lam2) <= _LAMBDA_ROOT_TOL * scale):
         raise VerificationError(
             f"potential does not vanish at the matched boundary: "
             f"lam(zeta1) = {lam1:.3e}, lam(zeta2) = {lam2:.3e}"
         )
     _interior_positivity(complete, lo, hi)
-    _check_fiber(complete, fiber)
     n = complete.params.n
+    fiber.require_dim(n)
+    if not abs(fiber.kappa0 - complete.kappa0) <= _FIBER_TOL * max(1.0, abs(complete.kappa0)):
+        raise FiberMismatch(
+            f"fiber curvature {fiber.kappa0:.12g} inconsistent with the "
+            f"profile's conserved value {complete.kappa0:.12g}"
+        )
+    if complete.params.R >= 0.0 and fiber.kappa0 <= 0.0:
+        raise FiberMismatch("the fiber curvature must be positive when R >= 0")
     faces = []
     for k, (side, orient, s) in enumerate((("left", -1.0, lo), ("right", 1.0, hi))):
         r = float(v.r[k])
@@ -752,20 +723,12 @@ def _certified_domain(
     )
 
 
-def require_two_boundary(params: OdeParams) -> None:
-    """build_two_boundary_domain's check before it integrates."""
+def require_domain_regime(params: OdeParams) -> None:
+    """The check both domain builders make before they integrate."""
     if params.a <= 0.0:
         raise InvalidRegime(
-            "two-boundary construction requires a > 0 (a = 0 is the "
-            "Einstein case with a single boundary sphere)"
-        )
-
-
-def require_quotient(params: OdeParams) -> None:
-    """build_quotient_domain's check before it integrates."""
-    if params.a <= 0.0:
-        raise InvalidRegime(
-            "quotient construction requires a > 0 (a = 0 is the Einstein case)"
+            "a matched domain requires a > 0 (a = 0 is the Einstein case, "
+            "whose critical domain has a single boundary sphere)"
         )
 
 
@@ -782,10 +745,10 @@ def build_two_boundary_domain(
     Integrates the even profile anchored at r0, pairs zeta1 with its partner
     root, attaches the matched potential, and packages boundary data.  The
     boundary has two connected components; the potential is positive inside.
-    Requires a > 0 (``require_two_boundary``): with a = 0 the metric is
+    Requires a > 0 (``require_domain_regime``): with a = 0 the metric is
     Einstein and the two-boundary construction degenerates.
     """
-    require_two_boundary(params)
+    require_domain_regime(params)
     profile = integrate_profile(params, r0, s_max)
     match = match_boundary(profile, zeta1)
     if fiber is None:
@@ -809,7 +772,7 @@ def build_quotient_domain(
     otherwise); by default a positively curved fiber is taken to be the
     round sphere with its antipodal involution.
     """
-    require_quotient(params)
+    require_domain_regime(params)
     profile = integrate_profile(params, r0, s_max)
     if fiber is None:
         fiber = FiberSpec(params.n - 1, profile.kappa0, symmetry=bool(profile.kappa0 > 0.0))

@@ -45,6 +45,7 @@ import numpy as np
 from . import support
 from .errors import (
     DegenerateInitial,
+    FiberMismatch,
     InvalidRegime,
     NonPositiveRadius,
     OutOfGrid,
@@ -56,6 +57,7 @@ from .support import bisect_root
 
 __all__ = [
     "OdeParams",
+    "FiberSpec",
     "Profile",
     "ProfileValues",
     "RootSet",
@@ -181,6 +183,33 @@ class OdeParams:
     def c2(self) -> float:
         """Linear coefficient R / (n (n-1)) of the radial ODE."""
         return self.R / (self.n * (self.n - 1))
+
+
+@dataclass(frozen=True)
+class FiberSpec:
+    """Symbolic description of the fiber (N, h).
+
+    The geometry enters only through the dimension and the Einstein constant
+    kappa0 (sectional curvature of h when dim >= 2 forces constant
+    curvature at this Einstein scaling).  ``symmetry`` flags that N carries
+    a free involution (e.g. the antipodal map of a round sphere), which the
+    quotient construction requires.
+    """
+
+    dim: int
+    kappa0: float
+    symmetry: bool = False
+
+    def __post_init__(self) -> None:
+        if int(self.dim) != self.dim or self.dim < 2:
+            raise OutOfRange(f"fiber dimension must be an integer >= 2, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "kappa0", float(self.kappa0))
+
+    def require_dim(self, n: int) -> None:
+        """The one fiber-dimension check: FiberMismatch unless dim = n - 1."""
+        if self.dim != n - 1:
+            raise FiberMismatch(f"fiber dimension {self.dim} does not match n-1 = {n - 1}")
 
 
 def warp_accel(params: OdeParams, r):

@@ -5,8 +5,10 @@ directory and asserts the documented exit-code contract: 0 success,
 1 verification failure, 2 input error, 3 numerical failure.
 """
 
+import copy
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -688,6 +690,47 @@ def test_verify_perturbed_kappa0_fails(constructed, capsys):
     )
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "inconsistent" in capsys.readouterr().err
+
+
+def test_nan_residual_fails_the_verdict():
+    # A NaN in lam' reaches every critical residual; the verdict must read
+    # it as a failure, not as a residual under its allowance.
+    prof = solve_potential(integrate_profile(OdeParams(n=3, R=-6.0, a=1.0), 1.0, 3.0), 0.25)
+    forged = copy.copy(prof)
+    forged.lamp = prof.lamp.copy()
+    forged.lamp[prof.grid.size // 3] = np.nan
+    verdict, residuals = cli._run_verification(forged, None, None, cli._VERIFY_DEFAULTS)
+    assert math.isnan(residuals["max_critical_residual"])
+    assert verdict == "fail"
+
+
+# Profile CSVs whose curvature leaves float64: r' = 1e200 squares past it,
+# and with r = 1e-300 at n = 1000 so does r^(1-n).
+_OVERFLOWING_ROWS = {
+    "rp_1e200": (3, "0,1,1e200,1,1\n1,2,1e200,1,1\n2,3,1e200,1,1\n"),
+    "r_1e-300_n1000": (1000, "0,1e-300,1e200,1,1\n1,2,1e200,1,1\n2,3,1e200,1,1\n"),
+}
+
+
+@pytest.mark.parametrize("n, rows", _OVERFLOWING_ROWS.values(), ids=_OVERFLOWING_ROWS.keys())
+def test_floating_point_fault_exits_3_with_one_line(tmp_path, n, rows):
+    # A real process: numpy's warnings would print beside the error line,
+    # where in-process pytest turns them into errors.
+    (tmp_path / "p.csv").write_text("s,r,rp,lam,lamp\n" + rows)
+    cfg = _write_config(
+        tmp_path / "v.json",
+        {"n": n, "R": -6.0, "a": 1.0, "profile_csv": str(tmp_path / "p.csv")},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpcrit.cli", "verify", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert re.fullmatch(r"error: floating-point fault at \w+\.py:\d+: overflow .*", lines[0])
+    assert not (tmp_path / "out" / "verify.json").exists()
 
 
 def test_verify_missing_csv_exits_2(tmp_path):

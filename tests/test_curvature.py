@@ -22,6 +22,7 @@ from warpcrit import (
     solve_potential,
     space_form_profile,
 )
+from warpcrit import curvature
 from warpcrit.curvature import (
     curvature_at,
     curvature_samples,
@@ -284,6 +285,27 @@ def test_fiber_dimension_gate():
     prof = _complete(OdeParams(n=3, R=0.0, a=1.0))
     with pytest.raises(FiberMismatch):
         verify_critical(prof, FiberSpec(dim=3, kappa0=prof.kappa0))
+
+
+def test_nan_in_the_profile_fails_the_fiber_gate():
+    # One NaN in r' makes the conserved-quantity residual NaN; the gate must
+    # refuse it, not return a report of NaN residuals.
+    prof = _complete(OdeParams(n=3, R=0.0, a=1.0))
+    forged = copy.copy(prof)
+    forged.rp = prof.rp.copy()
+    forged.rp[prof.grid.size // 3] = np.nan
+    with pytest.raises(FiberMismatch, match="residual nan exceeds"):
+        verify_critical(forged)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_block_maxima_reduce_with_nan_in_any_position(position):
+    # One reduction serves the gate, the lam floor and both verifiers; a NaN
+    # among any block's maxima is the result, whichever quantity it is.
+    block = [1.0, 2.0, 3.0]
+    block[position] = math.nan
+    assert math.isnan(curvature._window_max([(4.0, 5.0, 6.0), None, tuple(block)]))
+    assert curvature._window_max([(4.0, 5.0, 6.0), None, (1.0, 7.0, 3.0)]) == 7.0
 
 
 def test_fiber_curvature_gate():

@@ -2,9 +2,11 @@
 
 Envelope shaping belongs to ``warpcrit.cli``, which applies
 ``serialize.record_dict`` to the records the compute modules return; those
-modules import neither ``warpcrit.serialize`` nor ``warpcrit.cli``.  The
-check reads each module's source with ``ast``, so an import inside a
-function body counts too.
+modules import neither ``warpcrit.serialize`` nor ``warpcrit.cli``.  Among
+the compute modules, ``curvature`` verifies a profile against a fiber that
+``profiles`` defines, and imports nothing from ``matching``.  The check
+reads each module's source with ``ast``, so an import inside a function
+body counts too.
 """
 
 import ast
@@ -60,3 +62,8 @@ def test_the_check_sees_every_import_form():
 def test_compute_module_imports_no_output_layer(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     assert not _imported_modules(tree) & OUTPUT
+
+
+def test_curvature_imports_nothing_from_matching():
+    tree = ast.parse((PACKAGE / "curvature.py").read_text())
+    assert "matching" not in _imported_modules(tree)

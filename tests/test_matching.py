@@ -5,10 +5,12 @@ Closed-form oracles below come from the a = 0 hyperbolic profile
 int_s^inf cosh/sinh^2 = 1/sinh(s).
 """
 
+import functools
 import gc
 import math
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from warpcrit import (
     solve_potential,
     space_form_profile,
 )
-from warpcrit import matching
+from warpcrit import cli, matching
 from warpcrit.cli import _domain_record
 from warpcrit.matching import (
     _GL_ORDER,
@@ -550,6 +552,42 @@ def test_boundary_root_check_names_both_ends(build, monkeypatch):
         build(_FLAT, 1.0)
 
 
+_A_POSITIVE = "a matched domain requires a > 0"
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0])
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+def test_builders_share_one_a_positive_precondition(build, a):
+    with pytest.raises(InvalidRegime, match=_A_POSITIVE):
+        build(OdeParams(n=3, R=6.0, a=a), 1.0)
+
+
+@pytest.mark.parametrize("command", ["match", "example1", "example2"])
+def test_domain_commands_check_the_builders_precondition(command):
+    check = cli._COMMANDS[command][3]
+    with pytest.raises(InvalidRegime, match=_A_POSITIVE):
+        check(OdeParams(n=3, R=-6.0, a=0.0), {})
+
+
+class _Sampled:
+    """A stand-in complete profile whose potential samples to ``lam``."""
+
+    def __init__(self, lam):
+        self.lam = np.asarray(lam, dtype=float)
+
+    def sample(self, s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        return SimpleNamespace(lam=np.resize(self.lam, s.size))
+
+
+def test_nan_potential_fails_the_domain_checks():
+    # Both comparisons are written so that a NaN fails them.
+    with pytest.raises(VerificationError, match="does not vanish"):
+        matching._certified_domain(_Sampled([np.nan, 0.0]), -1.0, 1.0, None, 2)
+    with pytest.raises(InvalidRegime, match=r"lam\(.*\) = nan"):
+        matching._interior_positivity(_Sampled([1.0, np.nan, 1.0]), -1.0, 1.0)
+
+
 def test_quotient_domain_structure():
     dom = build_quotient_domain(OdeParams(n=3, R=0.0, a=1.0), r0=1.0, s_max=8.0)
     z2, z1 = dom.interval
@@ -655,6 +693,59 @@ def test_schwarzschild_regime_validation():
         schwarzschild_form(OdeParams(n=3, R=0.0, a=-1.0))
     with pytest.raises(InvalidRegime):
         schwarzschild_form(OdeParams(n=3, R=0.0, a=0.5), kappa0=2.0)
+
+
+# ----------------------------------------------------------------------
+# Metamorphic oracles: exact symmetries of the equations
+# ----------------------------------------------------------------------
+#
+# The map (R, a, r0, s) -> (R/mu^2, a mu^(n-2), mu r0, mu s) sends solutions
+# to solutions: kappa0 is invariant, lengths (theta, zeta) scale by mu, and
+# the potential, with C and C0, by mu^2.  Each bound is ten times the largest
+# relative error measured over the cases and scales below.
+_SCALING_BOUND = {"theta": 1e-12, "zeta2": 3.4e-11, "C": 6.9e-11, "C0": 1.4e-11,
+                  "kappa0": 1.5e-15}
+_SCALING_POWER = {"theta": 1, "zeta2": 1, "C": 2, "C0": 2, "kappa0": 0}
+# ((n, R, a), r0, zeta1), each on the window s_max = 12 (mu s_max scaled).
+_METAMORPHIC = {
+    "hyperbolic": ((3, -6.0, 1.0), 1.0, 1.2),
+    "oscillatory": ((3, 6.0, 1.0), 0.8, 0.5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _matched_numbers(n, R, a, r0, zeta1, s_max):
+    prof = integrate_profile(OdeParams(n=n, R=R, a=a), r0, s_max)
+    m = match_boundary(prof, zeta1)
+    out = {"theta": prof.theta, "zeta2": m.zeta2, "C": m.C, "kappa0": prof.kappa0}
+    if R < 0.0:
+        out["C0"] = c_threshold(prof)
+    return out
+
+
+@pytest.mark.parametrize("mu", [2.0, 3.0, 0.1])
+@pytest.mark.parametrize("case", _METAMORPHIC.values(), ids=_METAMORPHIC.keys())
+def test_matching_follows_the_scaling_map(case, mu):
+    (n, R, a), r0, zeta1 = case
+    base = _matched_numbers(n, R, a, r0, zeta1, 12.0)
+    scaled = _matched_numbers(n, R / mu**2, a * mu ** (n - 2), mu * r0, mu * zeta1, mu * 12.0)
+    for name, value in scaled.items():
+        want = base[name] * mu ** _SCALING_POWER[name]
+        assert value == pytest.approx(want, rel=_SCALING_BOUND[name], abs=0.0), name
+
+
+@pytest.mark.parametrize("case", _METAMORPHIC.values(), ids=_METAMORPHIC.keys())
+def test_matching_the_partner_root_is_the_reflection(case):
+    # lam0 is even and r' odd, so the roots of lam0 + C r' at (zeta2, zeta1)
+    # are those of lam0 - C r' at (-zeta1, -zeta2).  The largest gap measured
+    # was 3.7e-13 (the bound is ten times it); C + C' measured 0, and its
+    # bound is the matching tolerance 1e-12 relative, since no margin scales 0.
+    (n, R, a), r0, zeta1 = case
+    prof = integrate_profile(OdeParams(n=n, R=R, a=a), r0, 12.0)
+    there = match_boundary(prof, zeta1)
+    back = match_boundary(prof, -there.zeta2)
+    assert abs(back.zeta2 + zeta1) <= 3.7e-12
+    assert abs(back.C + there.C) <= 1e-12 * abs(there.C)
 
 
 if __name__ == "__main__":

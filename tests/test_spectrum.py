@@ -242,6 +242,15 @@ def test_interval_validation(osc_min):
         eigenvalue_at_resolution(osc_min, (-1.0, 1.0), 4)
 
 
+@pytest.mark.parametrize("interval", [(-1e-9, 7e-9), (-1e-9, 1e-9)])
+def test_nodes_at_a_pole_are_refused(interval):
+    # The window check admits a left end up to 1e-9 (1 + s_max) below s_min,
+    # so on a pole-anchored space form an interior node can sit at r <= 0.
+    prof = space_form_profile(1, 1.0, 1.0)
+    with pytest.raises(RangeError, match="degenerate radius r = 0"):
+        eigenvalue_at_resolution(prof, interval, 8)
+
+
 def test_step_bound_is_checked_before_any_solve(osc_min, monkeypatch):
     # A width of 1e-12 over 64 segments is far above the bound.  From 1e-75
     # down the tridiagonal solver fails, and 1/h^2 itself overflows from
