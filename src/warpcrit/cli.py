@@ -353,13 +353,7 @@ def cmd_verify(config: dict, ctx: dict) -> tuple[int, dict, str]:
 
 def _fiber_from(config: dict):
     raw = config.get("fiber")
-    if raw is None:
-        return None
-    return FiberSpec(
-        dim=raw["dim"],
-        kappa0=float(raw["kappa0"]),
-        symmetry=raw.get("symmetry", False),
-    )
+    return None if raw is None else FiberSpec(**raw)
 
 
 def _domain_record(domain) -> dict:

@@ -22,8 +22,10 @@ remainder past a truncation with r(S) large is n(n-1)/((-R) r'(S)), accurate
 to O(r(S)^-3) relative, and the truncation is pushed until the estimated
 formula error is below 1e-10 of the total.
 
-Both domain builders check a > 0 (``require_domain_regime``) and certify
-the fiber, a ``profiles.FiberSpec``; each check of a domain fails on a NaN.
+Both domain builders check a > 0 (``require_domain_regime``) and certify a
+domain [zeta2, zeta1] by lam on that domain alone: lam > 0 inside, lam
+vanishes at both ends relative to its largest value inside, then the fiber,
+a ``profiles.FiberSpec``, matches.  Each check of a domain fails on a NaN.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ _TAIL_RADIUS = 2000.0
 _ZETA_TOL = 1e-12
 
 # Tolerance of the boundary checks of build_two_boundary_domain and
-# build_quotient_domain: relative on the potential at the matched roots,
-# absolute on the evenness gap, and the floor of the positivity sampling pad.
+# build_quotient_domain: on the potential at the matched roots, relative to
+# its largest value inside (at least 1), and the floor of the positivity
+# sampling pad.
 _LAMBDA_ROOT_TOL = 1e-10
 
 # Relative tolerance of the fiber curvature against the profile's kappa0.
@@ -539,7 +542,7 @@ def classify_roots(profile: Profile) -> RootClassification:
     lam_anchor = float(profile.sample(0.0).lam[0])
     R = profile.params.R
     C = float(profile.C)
-
+    case = c0 = phase = counts = None
     if R < 0.0:
         c0 = c_threshold(profile)
         band = _CLASSIFY_TOL * max(1.0, c0)
@@ -553,47 +556,23 @@ def classify_roots(profile: Profile) -> RootClassification:
             # Boundary values: the vanishing root sits at infinity; report
             # the one-root case on the side that survives.
             case = "a" if C < 0 else "b"
-        return RootClassification(
-            regime="negative",
-            case=case,
-            C=C,
-            c_threshold=c0,
-            phase=None,
-            lam_at_anchor=lam_anchor,
-            roots=roots,
-            roots_per_interval=None,
+    elif R > 0.0:
+        # Anchor phase and per-interval root counts.
+        phase = "min" if float(warp_accel(profile.params, profile.r0)) > 0 else "max"
+        order = np.sort(roots.rp_roots)
+        counts = tuple(
+            int(np.sum((roots.lam_roots > lo) & (roots.lam_roots < hi)))
+            for lo, hi in zip(order[:-1], order[1:])
         )
-
-    if R == 0.0:
-        return RootClassification(
-            regime="zero",
-            case=None,
-            C=C,
-            c_threshold=None,
-            phase=None,
-            lam_at_anchor=lam_anchor,
-            roots=roots,
-            roots_per_interval=None,
-        )
-
-    # R > 0: anchor phase and per-interval root counts.
-    racc0 = float(warp_accel(profile.params, profile.r0))
-    phase = "min" if racc0 > 0 else "max"
-    rp_roots = roots.rp_roots
-    lam_roots = roots.lam_roots
-    counts = []
-    order = np.sort(rp_roots)
-    for lo, hi in zip(order[:-1], order[1:]):
-        counts.append(int(np.sum((lam_roots > lo) & (lam_roots < hi))))
     return RootClassification(
-        regime="positive",
-        case=None,
+        regime="negative" if R < 0.0 else "zero" if R == 0.0 else "positive",
+        case=case,
         C=C,
-        c_threshold=None,
+        c_threshold=c0,
         phase=phase,
         lam_at_anchor=lam_anchor,
         roots=roots,
-        roots_per_interval=tuple(counts),
+        roots_per_interval=counts,
     )
 
 
@@ -639,7 +618,7 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
     zeta2 = -y
 
     # Cross-check: direct root of the completed potential near zeta2.
-    complete = profile if (profile.complete and profile.C == C) else solve_potential(profile, C)
+    complete = solve_potential(profile, C)
     lam_f = lambda s: float(complete.sample(s).lam[0])
     lo = max(profile.s_min, -table.limit + _ROOT_PAD)
     cands = _node_roots(complete.grid, complete.lam, lam_f, _ZETA_TOL, lo=lo, hi=-1e-9)
@@ -663,7 +642,9 @@ def match_boundary(profile: Profile, zeta1: float) -> MatchResult:
 # ----------------------------------------------------------------------
 
 
-def _interior_positivity(profile: Profile, lo: float, hi: float) -> None:
+def _interior_positivity(profile: Profile, lo: float, hi: float) -> float:
+    """The largest lam of a 2001-point sample of (lo, hi), padded in from both
+    ends; InvalidRegime unless lam > 0 at every sample (a NaN fails)."""
     pad = max(10 * _LAMBDA_ROOT_TOL, 1e-6 * (hi - lo))
     xs = np.linspace(lo + pad, hi - pad, 2001)
     lam = np.asarray(profile.sample(xs).lam, dtype=float)
@@ -673,6 +654,7 @@ def _interior_positivity(profile: Profile, lo: float, hi: float) -> None:
             f"potential is not positive inside the domain (lam({xs[i]:.6g}) = "
             f"{lam[i]:.3e}); a valid domain needs the min-phase anchor"
         )
+    return float(np.max(lam))
 
 
 def _certified_domain(
@@ -683,17 +665,18 @@ def _certified_domain(
     components: int,
     quotient: dict | None = None,
 ) -> MatchedDomain:
-    """The domain [lo, hi] once lam vanishes at lo and hi, lam > 0 inside and
-    ``fiber`` matches, in that order; one sample at (lo, hi) gives the faces."""
+    """The domain [lo, hi] once lam > 0 inside, lam vanishes at lo and hi
+    relative to its largest value inside, and ``fiber`` matches, in that
+    order.  lam is read on [lo, hi] only: the interior sample of
+    ``_interior_positivity``, and one sample at (lo, hi) that gives the faces."""
+    scale = max(1.0, _interior_positivity(complete, lo, hi))
     v = complete.sample([lo, hi])
     lam2, lam1 = (float(x) for x in v.lam)
-    scale = max(1.0, float(np.max(np.abs(np.asarray(complete.lam, dtype=float)))))
     if not (abs(lam1) <= _LAMBDA_ROOT_TOL * scale and abs(lam2) <= _LAMBDA_ROOT_TOL * scale):
         raise VerificationError(
             f"potential does not vanish at the matched boundary: "
             f"lam(zeta1) = {lam1:.3e}, lam(zeta2) = {lam2:.3e}"
         )
-    _interior_positivity(complete, lo, hi)
     n = complete.params.n
     fiber.require_dim(n)
     if not abs(fiber.kappa0 - complete.kappa0) <= _FIBER_TOL * max(1.0, abs(complete.kappa0)):

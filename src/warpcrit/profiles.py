@@ -832,6 +832,8 @@ def find_roots(profile: Profile) -> RootSet:
     rp_f = lambda s: float(profile.sample(s).rp[0])
     pos = _node_roots(profile.grid, profile.rp, rp_f, _ROOT_TOL, lo=0.0)
     rp_roots = [0.0] + [t for t in pos if t > 10 * _ROOT_TOL]
+    # For R > 0 the anchor's next return is the second positive root of r'.
+    period = float(rp_roots[2]) if profile.params.R > 0 and len(rp_roots) > 2 else None
     kinds = [
         "min" if float(warp_accel(profile.params, profile.sample(t).r[0])) > 0 else "max"
         for t in rp_roots
@@ -846,12 +848,6 @@ def find_roots(profile: Profile) -> RootSet:
             _node_roots(profile.grid, profile.lam, lam_f, _ROOT_TOL, lo=profile.s_min),
             dtype=float,
         )
-
-    period = None
-    if profile.params.R > 0:
-        pos = [t for t in rp_roots if t > 10 * _ROOT_TOL]
-        if len(pos) >= 2:
-            period = float(pos[1])
 
     profile._roots = RootSet(
         rp_roots=np.array(rp_roots, dtype=float),

@@ -134,12 +134,11 @@ def write_text_atomic(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_envelope(path: str, payload: dict) -> dict:
-    """Stamp and atomically write a JSON envelope; returns the full record."""
+def write_envelope(path: str, payload: dict) -> None:
+    """Stamp and atomically write a JSON envelope."""
     record = dict(payload)
     record["timestamp"] = datetime.now(timezone.utc).isoformat()
     write_text_atomic(path, dump_json(record) + "\n")
-    return record
 
 
 def write_csv(path: str, header: str, columns) -> None:

@@ -53,8 +53,9 @@ from warpcrit.matching import (
     match_boundary,
     schwarzschild_form,
 )
-from warpcrit.profiles import find_roots, solve_radius_for_kappa0
+from warpcrit.profiles import conserved_quantity, find_roots, solve_radius_for_kappa0
 from warpcrit.rk45 import DenseSolution, hermite_quintic
+from warpcrit.spectrum import first_dirichlet_eigenvalue
 from warpcrit.support import gauss_legendre
 
 LD = np.longdouble
@@ -375,7 +376,9 @@ def test_matching_two_routes_agree(name, request):
     lam1 = float(comp.sample(zeta1).lam[0])
     lam2 = float(comp.sample(res.zeta2).lam[0])
     print(f"{name}: lam(zeta1)={lam1:.3e}, lam(zeta2)={lam2:.3e}")
-    scale = max(1.0, float(np.max(np.abs(np.asarray(comp.lam, dtype=float)))))
+    # Relative to lam on the domain, as the domain certificate scales it.
+    inside = comp.sample(np.linspace(res.zeta2, zeta1, 2001)).lam
+    scale = max(1.0, float(np.max(np.asarray(inside, dtype=float))))
     assert abs(lam1) <= 1e-9 * scale
     assert abs(lam2) <= 1e-9 * scale
     # Matching relation G(-zeta2) = -G(zeta1) = -(n-1) C.
@@ -570,22 +573,41 @@ def test_domain_commands_check_the_builders_precondition(command):
 
 
 class _Sampled:
-    """A stand-in complete profile whose potential samples to ``lam``."""
+    """A stand-in complete profile whose potential samples to ``lam(s)``."""
 
     def __init__(self, lam):
-        self.lam = np.asarray(lam, dtype=float)
+        self.lam = lam
 
     def sample(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return SimpleNamespace(lam=np.resize(self.lam, s.size))
+        return SimpleNamespace(lam=self.lam(np.atleast_1d(np.asarray(s, dtype=float))))
 
 
 def test_nan_potential_fails_the_domain_checks():
-    # Both comparisons are written so that a NaN fails them.
-    with pytest.raises(VerificationError, match="does not vanish"):
-        matching._certified_domain(_Sampled([np.nan, 0.0]), -1.0, 1.0, None, 2)
+    # Both comparisons are written so that a NaN fails them: a NaN at a face
+    # behind a positive interior fails the root check, and a NaN inside
+    # fails the positivity check that runs first.
+    face_nan = _Sampled(lambda s: np.where(s == 1.0, np.nan, np.where(s == -1.0, 0.0, 1.0)))
+    with pytest.raises(VerificationError, match=r"lam\(zeta1\) = nan"):
+        matching._certified_domain(face_nan, -1.0, 1.0, None, 2)
+    inside_nan = _Sampled(lambda s: np.where(np.abs(s) < 0.5, np.nan, 1.0))
     with pytest.raises(InvalidRegime, match=r"lam\(.*\) = nan"):
-        matching._interior_positivity(_Sampled([1.0, np.nan, 1.0]), -1.0, 1.0)
+        matching._certified_domain(inside_nan, -1.0, 1.0, None, 2)
+
+
+def test_root_check_scales_with_the_domain():
+    # Negative control.  On this domain max lam is at most 1, while lam over
+    # the window [-12, 12] reaches 4.2e4; a right face moved 1e-6 inward
+    # leaves lam = 4.9e-7 there, which the window's scale would admit.
+    params = OdeParams(n=3, R=-6.0, a=1.0)
+    prof = integrate_profile(params, 1.0, 12.0)
+    m = match_boundary(prof, 1.2)
+    comp = solve_potential(prof, m.C)
+    fiber = FiberSpec(dim=2, kappa0=prof.kappa0)
+    matching._certified_domain(comp, m.zeta2, 1.2, fiber, 2)
+    moved = 1.2 - 1e-6
+    assert 4e-7 < float(comp.sample(moved).lam[0]) < 6e-7
+    with pytest.raises(VerificationError, match="does not vanish"):
+        matching._certified_domain(comp, m.zeta2, moved, fiber, 2)
 
 
 def test_quotient_domain_structure():
@@ -714,11 +736,23 @@ _METAMORPHIC = {
 
 
 @functools.lru_cache(maxsize=None)
-def _matched_numbers(n, R, a, r0, zeta1, s_max):
-    prof = integrate_profile(OdeParams(n=n, R=R, a=a), r0, s_max)
-    m = match_boundary(prof, zeta1)
+def _profile(n, R, a, r0, s_max):
+    """One integration per profile across the oracles below."""
+    return integrate_profile(OdeParams(n=n, R=R, a=a), r0, s_max)
+
+
+def _scaled(case, mu):
+    """The profile of ``case`` under the scaling map with factor mu."""
+    (n, R, a), r0, _ = case
+    return _profile(n, R / mu**2, a * mu ** (n - 2), mu * r0, mu * 12.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _matched_numbers(case, mu):
+    prof = _scaled(case, mu)
+    m = match_boundary(prof, mu * case[2])
     out = {"theta": prof.theta, "zeta2": m.zeta2, "C": m.C, "kappa0": prof.kappa0}
-    if R < 0.0:
+    if prof.params.R < 0.0:
         out["C0"] = c_threshold(prof)
     return out
 
@@ -726,10 +760,8 @@ def _matched_numbers(n, R, a, r0, zeta1, s_max):
 @pytest.mark.parametrize("mu", [2.0, 3.0, 0.1])
 @pytest.mark.parametrize("case", _METAMORPHIC.values(), ids=_METAMORPHIC.keys())
 def test_matching_follows_the_scaling_map(case, mu):
-    (n, R, a), r0, zeta1 = case
-    base = _matched_numbers(n, R, a, r0, zeta1, 12.0)
-    scaled = _matched_numbers(n, R / mu**2, a * mu ** (n - 2), mu * r0, mu * zeta1, mu * 12.0)
-    for name, value in scaled.items():
+    base = _matched_numbers(case, 1.0)
+    for name, value in _matched_numbers(case, mu).items():
         want = base[name] * mu ** _SCALING_POWER[name]
         assert value == pytest.approx(want, rel=_SCALING_BOUND[name], abs=0.0), name
 
@@ -740,12 +772,64 @@ def test_matching_the_partner_root_is_the_reflection(case):
     # are those of lam0 - C r' at (-zeta1, -zeta2).  The largest gap measured
     # was 3.7e-13 (the bound is ten times it); C + C' measured 0, and its
     # bound is the matching tolerance 1e-12 relative, since no margin scales 0.
-    (n, R, a), r0, zeta1 = case
-    prof = integrate_profile(OdeParams(n=n, R=R, a=a), r0, 12.0)
+    zeta1 = case[2]
+    prof = _scaled(case, 1.0)
     there = match_boundary(prof, zeta1)
     back = match_boundary(prof, -there.zeta2)
     assert abs(back.zeta2 + zeta1) <= 3.7e-12
     assert abs(back.C + there.C) <= 1e-12 * abs(there.C)
+
+
+# The first Dirichlet eigenvalue gamma1 scales by 1/mu^2 once C scales by
+# mu^2 and the interval by mu: (C, interval) of each case, at num 256.  The
+# largest relative error measured was 1.5e-11 (0 at mu = 2); the bound is
+# ten times it.
+_EIGEN_CASES = {"hyperbolic": (0.25, (-1.0, 1.5)), "oscillatory": (0.1, (-0.5, 1.2))}
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma1(name, mu):
+    C, (lo, hi) = _EIGEN_CASES[name]
+    comp = solve_potential(_scaled(_METAMORPHIC[name], mu), mu * mu * C)
+    return first_dirichlet_eigenvalue(comp, (mu * lo, mu * hi), num=256).gamma1
+
+
+@pytest.mark.parametrize("mu", [2.0, 3.0, 0.1])
+@pytest.mark.parametrize("name", _EIGEN_CASES)
+def test_first_eigenvalue_follows_the_scaling_map(name, mu):
+    assert _gamma1(name, mu) * mu**2 == pytest.approx(_gamma1(name, 1.0), rel=1.53e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n, R, a, r0", [
+    (3, -6.0, 1.0, 1.0), (4, -6.0, 2.0, 1.2), (3, 6.0, 1.0, 0.8), (3, 6.0, 1.0, 1.3),
+    (3, 0.0, 1.0, 1.0),
+])
+def test_even_branch_is_the_matching_integral(n, R, a, r0):
+    # lam0 = -r' G / (n-1) on (0, s1) for R > 0 and on (0, s_max] otherwise:
+    # the matching relation at C = 0.  Six points between 0.15 and 0.9 of that
+    # limit; the largest error measured was 8.6e-12 of |lam0|, and the bound
+    # is ten times it.
+    prof = _profile(n, R, a, r0, 12.0)
+    limit = find_roots(prof).s1 if R > 0.0 else prof.s_max
+    for x in np.linspace(0.15, 0.9, 6) * limit:
+        _, rp, lam0, _ = (float(v[0]) for v in prof.sample_base(x))
+        g = cumulative_integral(prof, x)
+        assert abs(lam0 + rp * g / (n - 1)) <= 8.6e-11 * abs(lam0), x
+
+
+@pytest.mark.parametrize("n, R, a, r0, s_max", [
+    (3, -6.0, 1.0, 1.0, 4.0), (3, 6.0, 1.0, 0.8, 12.0), (4, 0.0, 1.0, 1.0, 6.0),
+])
+def test_export_conserves_kappa0(n, R, a, r0, s_max):
+    # The conserved quantity of a step-1e-3 export, against kappa0, as a
+    # fraction of the term scale of the verifier's fiber gate.  The largest
+    # value measured was 8.9e-16; the bound is ten times it.
+    params = OdeParams(n=n, R=R, a=a)
+    export = cli._resample(solve_potential(_profile(n, R, a, r0, s_max), 0.25), 1e-3)
+    r, rp = export.r, export.rp
+    cons = np.asarray(conserved_quantity(params, r, rp), dtype=float)
+    terms = rp**2 + abs(params.c2) * r**2 + abs(2.0 * a / (n - 2)) * r ** (2.0 - n)
+    assert np.max(np.abs(cons - export.kappa0)) <= 8.9e-15 * np.max(terms)
 
 
 if __name__ == "__main__":
