@@ -184,10 +184,10 @@ def _grid_slice(profile: Profile, interval):
     copies of them.
     """
     s = profile.grid
-    keep = np.asarray(profile.r, dtype=float) > 0.0
+    keep = profile.r > 0.0
     if interval is not None:
-        lo, hi = float(interval[0]), float(interval[1])
-        keep &= (np.asarray(s, dtype=float) >= lo) & (np.asarray(s, dtype=float) <= hi)
+        s64 = np.asarray(s, dtype=float)
+        keep &= (s64 >= float(interval[0])) & (s64 <= float(interval[1]))
         if not np.any(keep):
             raise OutOfGrid("no grid point with r > 0 inside the requested interval")
     columns = (s, profile.r, profile.rp, profile.lam, profile.lamp)
@@ -362,9 +362,9 @@ def verify_conformally_flat(
 def level_set_geometry(profile: Profile, s: float) -> LevelSetData:
     """Geometry of the level set of the potential through arclength s.
 
-    Requires a regular level (CriticalLevel when the potential gradient
-    vanishes).  For Einstein profiles (a = 0) the umbilic factor is
-    cross-checked against the potential route and the residual reported.
+    Requires a regular level (CriticalLevel when |lam'(s)| <= 1e-12), read at
+    s only.  For Einstein profiles (a = 0) the umbilic factor is cross-checked
+    against the potential route and the residual reported.
     """
     if not profile.complete:
         raise InvalidRegime("level-set geometry requires a potential")
@@ -374,8 +374,7 @@ def level_set_geometry(profile: Profile, s: float) -> LevelSetData:
     lamp = float(v.lamp[0])
     if r <= 0.0:
         raise OutOfGrid("level set through the degenerate pole")
-    scale = float(np.max(np.abs(np.asarray(profile.lamp, dtype=float))))
-    if abs(lamp) <= 1e-12 * max(scale, 1.0):
+    if abs(lamp) <= 1e-12:
         raise CriticalLevel(
             f"the potential has a critical point at s = {s:.6g}; "
             "the level set is not a regular hypersurface"

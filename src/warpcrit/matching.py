@@ -42,7 +42,6 @@ from .errors import (
     FiberMismatch,
     InvalidRegime,
     NoFreeInvolution,
-    OutOfGrid,
     OutOfRange,
     SingularEndpoint,
     VerificationError,
@@ -58,7 +57,6 @@ from .profiles import (
     integrate_profile,
     solve_potential,
     solve_radius_for_kappa0,
-    warp_accel,
 )
 from .rk45 import hermite_quintic
 from .support import bisect_root, gauss_legendre, row_blocks
@@ -335,9 +333,9 @@ def improper_integral(
 ) -> float:
     """Integral of r/(r')^2 over (s_from, s_to), s_to = +inf allowed for R < 0.
 
-    The range, or ``s_from`` of an improper one, must lie in the window
-    [s_min, s_max] (OutOfGrid otherwise), and the open interval must avoid
-    the critical points of r, where the integrand has non-integrable
+    A finite range must ascend (OutOfRange) and, like ``s_from`` of an improper
+    one, lie in the window (``Profile._check_window``); the open interval must
+    avoid the critical points of r, where the integrand has non-integrable
     singularities (SingularEndpoint), found on the dense base (InvalidRegime
     without one).  For R >= 0 the improper integral diverges
     (DivergentIntegral); for R < 0 its part beyond s_max runs on an
@@ -351,21 +349,13 @@ def improper_integral(
                 "the improper integral of r/(r')^2 diverges for R >= 0 "
                 "(the integrand decays too slowly or r' returns to zero)"
             )
-        if not profile.s_min <= s_from <= profile.s_max:
-            raise OutOfGrid(
-                f"lower endpoint {s_from:.6g} outside profile window "
-                f"[{profile.s_min:.6g}, {profile.s_max:.6g}]"
-            )
+        profile._check_window(np.array([s_from]))
         _check_no_critical_points(profile, s_from, profile.s_max + 1.0)
         return _improper_from(profile, s_from)
     s_to = float(s_to)
     if s_to <= s_from:
         raise OutOfRange(f"empty or reversed range ({s_from:.6g}, {s_to:.6g})")
-    if s_from < profile.s_min or s_to > profile.s_max:
-        raise OutOfGrid(
-            f"range ({s_from:.6g}, {s_to:.6g}) exceeds profile window "
-            f"[{profile.s_min:.6g}, {profile.s_max:.6g}]"
-        )
+    profile._check_window(np.array([s_from, s_to]))
     _check_no_critical_points(profile, s_from, s_to)
     return _quad_between(profile, s_from, s_to)
 
@@ -435,18 +425,14 @@ class _CumulativeTable:
                     "matched root lies beyond the integration window; "
                     "increase s_max"
                 )
-            # Approach the critical point where G blows up.
+            # Approach the critical point where G blows up.  The loop ends:
+            # value() refuses hi within _ROOT_PAD of it, at most 46 halvings
+            # in for any window the step budget admits (s_max <= 40,000).
             gap = self.limit - hi
-            for _ in range(60):
+            while g_hi < target:
                 gap *= 0.5
                 hi = self.limit - gap
                 g_hi = self.value(profile, hi)
-                if g_hi >= target:
-                    break
-            else:
-                raise OutOfRange(
-                    "matching target unreachable below the critical point"
-                )
         return bisect_root(lambda x: self.value(profile, x) - target, lo, hi, tol=_ZETA_TOL,
                            f_lo=g_lo - target, f_hi=g_hi - target)
 
@@ -558,7 +544,7 @@ def classify_roots(profile: Profile) -> RootClassification:
             case = "a" if C < 0 else "b"
     elif R > 0.0:
         # Anchor phase and per-interval root counts.
-        phase = "min" if float(warp_accel(profile.params, profile.r0)) > 0 else "max"
+        phase = roots.phase
         order = np.sort(roots.rp_roots)
         counts = tuple(
             int(np.sum((roots.lam_roots > lo) & (roots.lam_roots < hi)))

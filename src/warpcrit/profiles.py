@@ -255,6 +255,11 @@ class RootSet:
     period: float | None
 
     @property
+    def phase(self) -> str:
+        """Kind of the anchor s = 0, which the mirrored roots put mid-list."""
+        return self.rp_kinds[len(self.rp_kinds) // 2]
+
+    @property
     def s1(self) -> float | None:
         """First positive critical point of r, if any."""
         pos = self.rp_roots[self.rp_roots > 0.0]
@@ -321,11 +326,13 @@ class Profile:
     # ------------------------------------------------------------------
 
     def _check_window(self, s: np.ndarray) -> None:
+        """The one containment rule for queried arclengths: OutOfGrid unless
+        each lies in [s_min, s_max] padded by 1e-9 (1 + s_max); a NaN never does."""
         pad = 1e-9 * (1.0 + self.s_max)
-        if np.any(s < self.s_min - pad) or np.any(s > self.s_max + pad):
-            bad = s[(s < self.s_min - pad) | (s > self.s_max + pad)]
+        outside = ~((s >= self.s_min - pad) & (s <= self.s_max + pad))
+        if np.any(outside):
             raise OutOfGrid(
-                f"arclength {float(bad.flat[0]):.6g} outside profile window "
+                f"arclength {float(s[outside].flat[0]):.6g} outside profile window "
                 f"[{self.s_min:.6g}, {self.s_max:.6g}]"
             )
 

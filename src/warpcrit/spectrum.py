@@ -46,7 +46,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import (
     GridTooCoarse,
     InvalidRegime,
-    OutOfGrid,
     OutOfRange,
     RangeError,
 )
@@ -116,17 +115,6 @@ class EigenSignReport:
 # ----------------------------------------------------------------------
 
 
-def _window_check(profile: Profile, lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise RangeError(f"invalid interval [{lo}, {hi}]")
-    pad = 1e-9 * (1.0 + abs(profile.s_max))
-    if lo < profile.s_min - pad or hi > profile.s_max + pad:
-        raise OutOfGrid(
-            f"interval [{lo:.6g}, {hi:.6g}] leaves the computed window "
-            f"[{profile.s_min:.6g}, {profile.s_max:.6g}]"
-        )
-
-
 def _schroedinger_potential(params: OdeParams, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
     if np.any(np.asarray(r, dtype=float) <= 0.0):
         raise RangeError("interval touches the degenerate radius r = 0")
@@ -141,10 +129,13 @@ def eigenvalue_at_resolution(profile: Profile, interval, num: int):
     Splits [b1, b2] into `num` segments and solves the symmetric tridiagonal
     eigenproblem on the num-1 interior nodes.  Returns (beta, nodes, phi)
     with phi the ground eigenfunction of the original (unsymmetrized)
-    operator, positively normalized to unit sup.
+    operator, positively normalized to unit sup.  RangeError unless the
+    interval is finite and ascending; then ``Profile._check_window``.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    _window_check(profile, lo, hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise RangeError(f"invalid interval [{lo}, {hi}]")
+    profile._check_window(np.array([lo, hi]))
     if not 8 <= num <= _MAX_SEGMENTS:
         raise RangeError(f"eigenvalue grid needs 8 to {_MAX_SEGMENTS} segments, got {num}")
     h = (hi - lo) / num
@@ -322,7 +313,7 @@ def verify_eigenvalue_signs(
         raise OutOfRange(
             f"no critical point of r in (0, {s_max:.6g}]; increase s_max"
         )
-    phase = "min" if float(warp_accel(params, np.longdouble(r0))) > 0.0 else "max"
+    phase = roots.phase
 
     zero_mode = first_dirichlet_eigenvalue(profile, (0.0, float(s1)), num=num)
     pad = 0.15 * float(s1)

@@ -428,6 +428,9 @@ _PINNED_LINES = {
     ("example1", f'{{{_CONSTANT}, "zeta1": 0.5}}'): _NO_DENSE_BASE,
     ("example2", f"{{{_CONSTANT}}}"): _NO_EVEN_BRANCH,
     ("spectrum", f'{{{_CONSTANT}, "signs": true}}'): _NO_EVEN_BRANCH,
+    # An interval past the window, refused by the profile's one containment rule.
+    ("spectrum", '{"n": 3, "R": 6, "a": 1, "r0": 0.8, "s_max": 3, "interval": [0, 4], "num": 64}'):
+        "error: arclength 4 outside profile window [-3, 3]",
 }
 
 
@@ -479,7 +482,8 @@ _PINNED_LINES = {
         "fiber_unknown_key", "fiber_dim_1", "example2_no_involution", "out_is_file",
         "tol_no_value", "tol_not_number", "grid_step_negative", "grid_step_too_fine",
         "grid_step_past_window", "match_constant_solution", "example1_constant_solution",
-        "example2_constant_solution", "signs_constant_solution", "zeta1_1e-300",
+        "example2_constant_solution", "signs_constant_solution", "spectrum_past_window",
+        "zeta1_1e-300",
         "schwarzschild_short_window", "signs_short_window", "n1000_tiny_r0", "R_1e300",
         "schwarzschild_a_1e7", "schwarzschild_a_1e12", "schwarzschild_a_1e20",
         "config_nested_too_deeply",

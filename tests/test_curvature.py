@@ -7,6 +7,7 @@ the generic one-parameter family at its even point.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from warpcrit import (
     AllPointsMasked,
     CriticalLevel,
     FiberMismatch,
+    InvalidRegime,
     OdeParams,
     OutOfGrid,
     integrate_profile,
@@ -235,6 +237,45 @@ def test_out_of_grid_sample():
     prof = _complete(OdeParams(n=3, R=0.0, a=1.0), s_max=2.0)
     with pytest.raises(OutOfGrid):
         curvature_at(prof, None, 5.0)
+
+
+def test_refusals_name_their_reason():
+    pole = space_form_profile(0, 1.0, 2.0)
+    with pytest.raises(OutOfGrid, match="^curvature evaluation requires r > 0$"):
+        curvature_at(pole, None, 0.0)
+    with pytest.raises(OutOfGrid, match="^level set through the degenerate pole$"):
+        level_set_geometry(pole, 0.0)
+    partial = integrate_profile(OdeParams(n=3, R=0.0, a=1.0), 1.0, 2.0)
+    with pytest.raises(InvalidRegime, match="^verification requires a profile with a potential$"):
+        verify_conformally_flat(partial)
+    with pytest.raises(InvalidRegime, match="^level-set geometry requires a potential$"):
+        level_set_geometry(partial, 0.5)
+
+
+def test_interval_verification_reads_only_its_rows():
+    # A radius past float64 outside the interval is never converted: the
+    # verification of the rows inside passes under numpy's raise mode.
+    prof = space_form_profile(-1, 1.0, 2.0)
+    r = prof.r.copy()
+    r[-1] = np.longdouble("1e400")
+    forged = dataclasses.replace(prof, r=r)
+    with np.errstate(over="raise"):
+        report = verify_critical(forged, interval=(0.5, 1.5))
+    s = prof.grid.astype(float)  # the interval is applied to the float64 grid
+    assert report.grid_size == np.count_nonzero((s >= 0.5) & (s <= 1.5))
+    assert report.max_critical_residual < 1e-12
+
+
+def test_critical_level_reads_the_gradient_at_s_only():
+    # For R < 0 the window's largest |lam'| grows like e^{sqrt(-c2) s_max}
+    # (3.8e30 at s_max 72); the level through s = 1, where lam' = -0.57, is
+    # regular on every window that holds it.
+    params = OdeParams(n=3, R=-6.0, a=1.0)
+    short, long = (solve_potential(integrate_profile(params, 1.0, s_max), 0.0)
+                   for s_max in (12.0, 40.0))
+    lv = level_set_geometry(long, 1.0)
+    assert lv.grad_norm == pytest.approx(level_set_geometry(short, 1.0).grad_norm, rel=1e-12)
+    assert lv.grad_norm == pytest.approx(0.5656, abs=1e-4)
 
 
 # ----------------------------------------------------------------------

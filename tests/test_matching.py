@@ -187,6 +187,17 @@ def test_improper_integral_past_the_window_is_out_of_grid():
     for s_from in (5.0, 50.0, -4.5):
         with pytest.raises(OutOfGrid, match="outside profile window"):
             improper_integral(short, s_from)
+    # One containment rule, Profile._check_window, for finite and improper
+    # ranges alike: the window padded by 1e-9 (1 + s_max), a NaN refused.
+    pad = 1e-9 * (1.0 + short.s_max)
+    for s_from, s_to in ((math.nan, math.inf), (1.0, 4.0 + 2 * pad), (1.0, 4.1)):
+        with pytest.raises(OutOfGrid, match="^arclength .* outside profile window"):
+            improper_integral(short, s_from, s_to)
+    with pytest.raises(OutOfRange, match=r"^empty or reversed range \(2, 1\)$"):
+        improper_integral(short, 2.0, 1.0)
+    # Within the pad an improper range samples, as every other range does.
+    edge = improper_integral(short, 4.0 + 0.5 * pad)
+    assert edge == pytest.approx(improper_integral(short, 4.0), rel=1e-6)
     # The tail from s_max itself is the extension's part alone, and the tail
     # from 5 is read on a window that holds 5.
     assert improper_integral(short, 4.0) > 0.0
@@ -412,6 +423,24 @@ def test_matching_range_validation(pos_profile, neg_profile):
     zeta_min = exclusion_zeta(neg_profile)
     with pytest.raises(OutOfRange):
         match_boundary(neg_profile, 0.9 * zeta_min)
+
+
+def test_table_refusals_name_their_reason(pos_profile):
+    table = _get_table(pos_profile)
+    s1 = find_roots(pos_profile).s1
+    with pytest.raises(OutOfRange, match="reaches the critical point"):
+        cumulative_integral(pos_profile, s1 - 1e-10)
+    # A target G never reaches below s1: the approach halves its gap until
+    # the query comes within 1e-9 of s1 and is refused there.
+    with pytest.raises(OutOfRange, match="reaches the critical point"):
+        table.solve(pos_profile, 1e15)
+    with pytest.raises(OutOfRange, match="^matching target below the reachable range"):
+        table.solve(pos_profile, -1e300)
+    flat = integrate_profile(OdeParams(n=3, R=0.0, a=1.0), r0=1.0, s_max=6.0)
+    with pytest.raises(OutOfRange, match="^matched root lies beyond the integration window"):
+        match_boundary(flat, 1e-3)
+    with pytest.raises(InvalidRegime, match="^the admissibility threshold is defined only for R < 0"):
+        c_threshold(flat)
 
 
 def test_exclusion_and_partner_bound(neg_profile):

@@ -309,6 +309,9 @@ def test_min_max_phase_by_anchor_radius():
     prof_max = integrate_profile(params, r0=1.3 * r_star, s_max=4.0)
     assert find_roots(prof_min).rp_kinds[_anchor_index(prof_min)] == "min"
     assert find_roots(prof_max).rp_kinds[_anchor_index(prof_max)] == "max"
+    # The root set's phase is the kind of its anchor root.
+    assert find_roots(prof_min).phase == "min"
+    assert find_roots(prof_max).phase == "max"
 
 
 def _anchor_index(prof):
