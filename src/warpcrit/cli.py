@@ -207,8 +207,8 @@ def _params_record(params: OdeParams) -> dict:
 _PARAM_KEYS = {"n": _want_int, "R": _want_num, "a": _want_num}
 _COMMON_OPT = {"tolerances": _want_tols, "tag": _want_tag}
 
-# Most entries in one sweep chunk, whose profiles one batch integrates and
-# holds at once: a profile's dense base takes up to about 1 MB at s_max 12.
+# Most entries in one sweep chunk.  Its batch holds every dense base at once,
+# up to about 1 MB each at s_max 12; each is freed when its entry ends.
 _BATCH_ENTRIES = 64
 
 

@@ -525,14 +525,18 @@ def prefetched(requests):
     rk45.integrate_batch call, if there are at least ``MIN_BATCH`` of them;
     while the context is open, integrate_profile takes a matching stored
     base (once) instead of integrating.  A member that failed in the batch
-    is not stored, so its own call raises its own error.  The store is
-    emptied on exit.
+    is not stored, so its own call raises its own error.  The store is the
+    only owner of the bases: once integrate_profile pops one, it lives as
+    long as that profile, not as long as the context.  The store is emptied
+    on exit.
     """
     try:
         keys = [key for key in dict.fromkeys(requests) if _integrates(key)]
         if len(keys) >= MIN_BATCH:
             bases = integrate_batch(*_batch_members(keys))
             _PREFETCH.update((k, b) for k, b in zip(keys, bases) if b is not None)
+            # The suspended frame must not keep the popped bases alive.
+            del bases
         yield
     finally:
         _PREFETCH.clear()

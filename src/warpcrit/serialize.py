@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .profiles import OdeParams, Profile, conserved_quantity
 from .support import row_blocks
 
@@ -71,8 +71,8 @@ def dump_json(obj, indent: int = 0) -> str:
     """Render JSON with sorted keys and 17-significant-digit floats.
 
     The standard encoder prints floats with repr; the fixed format here
-    keeps envelopes byte-stable across interpreter versions.  Non-finite
-    floats are rejected: envelopes must encode absence explicitly.
+    keeps envelopes byte-stable across interpreter versions.  A non-finite
+    float is a failed computation, so it raises NumericalError.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -86,7 +86,7 @@ def dump_json(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(float(obj)):
-            raise ConfigError("non-finite float in JSON payload")
+            raise NumericalError("non-finite float in JSON payload")
         return _fmt(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -147,14 +147,14 @@ def write_csv(path: str, header: str, columns) -> None:
     The rows go through the atomic writer one block of ``support.ROW_BLOCK``
     rows at a time: each block's columns are converted to float64 and the
     block is rendered by one ``%`` operation, so memory stays a block's
-    worth however long the table is.  ``'%.17g' % x`` and
-    ``format(x, '.17g')`` both reduce to ``PyOS_double_to_string(x, 'g', 17)``,
-    so the bytes are those of ``_fmt``: 17 significant digits, and ``nan``
-    for every non-finite value.
+    worth however long the table is.  ``'%.17g' % x`` and ``format(x, '.17g')``
+    both reduce to ``PyOS_double_to_string(x, 'g', 17)``, so the bytes are
+    those of ``_fmt``: 17 significant digits, and ``nan`` for every non-finite
+    value, one past float64's range too (the cast ignores overflow).
     """
     columns = [np.asarray(c) for c in columns]
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with _atomic_writer(path) as fh:
+    with _atomic_writer(path) as fh, np.errstate(over="ignore"):
         fh.write(header + "\n")
         for rows in row_blocks(len(columns[0])):
             table = np.column_stack([np.asarray(c[rows], dtype=float) for c in columns])

@@ -6,11 +6,13 @@ directory and asserts the documented exit-code contract: 0 success,
 """
 
 import copy
+import gc
 import json
 import math
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from warpcrit import (
     ConfigError,
     DegenerateInitial,
+    NumericalError,
     OdeParams,
     integrate_profile,
     profile_from_arrays,
@@ -28,7 +31,7 @@ from warpcrit import (
     verify_critical,
     write_profile_csv,
 )
-from warpcrit import cli, profiles, support
+from warpcrit import cli, matching, profiles, support
 from warpcrit.cli import _resample, main
 from warpcrit.matching import schwarzschild_form
 from warpcrit.profiles import find_roots
@@ -93,7 +96,8 @@ def test_record_dict_rule():
 
 
 def test_dump_json_rejects_nonfinite():
-    with pytest.raises(ConfigError):
+    # Envelope numbers are computed, so a non-finite one is a numerical failure.
+    with pytest.raises(NumericalError):
         dump_json({"x": float("nan")})
 
 
@@ -144,6 +148,16 @@ def test_write_csv_matches_per_value_reference(tmp_path):
     assert text == _reference_csv("a,b,c", columns)
     assert "inf" not in text, "non-finite values are written as nan"
     assert "0.10000000000000001" in text and "-0," in text
+
+
+def test_write_csv_writes_a_value_past_float64_as_nan(tmp_path):
+    # The float64 cast of a longdouble past float64's range must not fault
+    # under the raise mode a command runs in.
+    path = tmp_path / "t.csv"
+    column = np.array([1.0, np.longdouble("1e400")], dtype=np.longdouble)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        write_csv(str(path), "s,x", (np.arange(2.0), column))
+    assert path.read_text() == "s,x\n0,1\n1,nan\n"
 
 
 @pytest.mark.parametrize("C", [None, 0.3], ids=["partial", "complete"])
@@ -1231,6 +1245,29 @@ def test_prefetch_is_cleared_after_an_internal_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: internal error (RuntimeError at ") and err.endswith(": escaped\n")
     assert len(err.splitlines()) == 1
+
+
+def test_sweep_frees_each_base_when_its_entry_ends(tmp_path, monkeypatch):
+    # Before each entry integrates, the bases of the entries before it must
+    # be gone.  Recorded here and asserted after main returns: an assertion
+    # inside an entry would only become that entry's exit 3.
+    bases, stored, alive = [], [], []
+    integrate_profile = matching.integrate_profile
+
+    def spy(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in bases])
+        stored.append(len(profiles._PREFETCH))
+        prof = integrate_profile(*args)
+        bases.append(weakref.ref(prof._base))
+        return prof
+
+    monkeypatch.setattr(matching, "integrate_profile", spy)
+    base, entries = _SWEEPS[1][1], _SWEEPS[1][2][:3]
+    cfg = _write_config(tmp_path / "s.json", dict(base, workers=1, sweep=entries))
+    assert main(["example1", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert stored == [3, 2, 1], "each entry takes its base from the batch"
+    assert alive == [[], [False], [False, False]]
 
 
 @pytest.mark.parametrize("count", [1, 2])

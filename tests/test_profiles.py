@@ -6,7 +6,9 @@ implementation, and are frozen: if one of these fails, fix the code,
 not the constant.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from warpcrit import (
     space_form_profile,
 )
 from warpcrit.cli import _resample
-from warpcrit.profiles import _node_roots
+from warpcrit.profiles import _node_roots, prefetched
 
 # Parameter samples covering every sign regime (n, R, a).
 REGIMES = [
@@ -508,6 +510,18 @@ def test_one_predicate_decides_dense_base_and_even_branch(make, dense):
             prof._dense()
         with pytest.raises(DegenerateInitial, match="no even potential branch"):
             solve_potential(prof, 0.3)
+
+
+def test_a_prefetched_base_dies_with_its_profile():
+    # The store is the only owner of a batch's bases: a base taken from it
+    # is freed with its profile while the context is still open.
+    params = OdeParams(n=3, R=-6.0, a=1.0)
+    with prefetched([(params, 1.0, s_max) for s_max in (2.0, 3.0, 4.0)]):
+        prof = integrate_profile(params, 1.0, 3.0)
+        base = weakref.ref(prof._base)
+        del prof
+        gc.collect()
+        assert base() is None
 
 
 if __name__ == "__main__":
