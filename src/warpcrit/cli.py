@@ -43,8 +43,9 @@ from itertools import repeat
 
 import numpy as np
 
+from . import support
 from .curvature import verify_critical
-from .errors import ConfigError, InputError, VerificationError, WarpcritError
+from .errors import ConfigError, InputError, NumericalError, VerificationError, WarpcritError
 from .matching import (
     build_quotient_domain,
     build_two_boundary_domain,
@@ -83,6 +84,10 @@ TOLERANCE_NAMES = ("critical", "scal", "weyl", "einstein", "fiber")
 # Most rows an export grid may have: 6x the 160,001 of the largest benchmark
 # export, checked before the grid is allocated.
 _MAX_EXPORT_ROWS = 10**6
+
+# Fewest mantissa bits of the working precision that the tolerances admit:
+# numpy counts x86-64's 80-bit long double as 63.
+_MIN_MANTISSA_BITS = 63
 
 
 def _is_finite(x) -> bool:
@@ -727,6 +732,12 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
+        bits = np.finfo(support.LD).nmant
+        if bits < _MIN_MANTISSA_BITS:
+            raise NumericalError(
+                f"working precision has {bits} mantissa bits; the tolerances "
+                f"need at least {_MIN_MANTISSA_BITS} (x86-64's 80-bit long double)"
+            )
         config = _load_config(args.config)
         ctx = {"out": args.out, "tols": _parse_tol_flags(args.tol), "grid_step": args.grid_step}
         try:

@@ -40,7 +40,7 @@ from .profiles import (
     potential_accel,
     warp_accel,
 )
-from .support import row_blocks
+from .support import LD as _LD, row_blocks
 
 __all__ = [
     "CurvatureSample",
@@ -52,8 +52,6 @@ __all__ = [
     "verify_conformally_flat",
     "level_set_geometry",
 ]
-
-_LD = np.longdouble
 
 # Fraction of max|lam| below which conformal reconstruction is masked
 # (the reconstruction divides by lam).

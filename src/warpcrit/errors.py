@@ -74,7 +74,7 @@ class DegenerateInitial(InputError):
 
 class RangeError(InputError):
     """A parameter outside its accepted range: n, R, a, C, r0, a window, a
-    space form's curvature, a kappa0 branch, or the eigenvalue grid."""
+    space form's curvature, or the eigenvalue grid."""
 
 
 # --- boundary matching ----------------------------------------------------

@@ -59,7 +59,7 @@ from .profiles import (
     solve_radius_for_kappa0,
 )
 from .rk45 import hermite_quintic
-from .support import bisect_root, gauss_legendre, row_blocks
+from .support import LD as _LD, bisect_root, gauss_legendre, row_blocks
 
 __all__ = [
     "BoundaryFace",
@@ -78,8 +78,6 @@ __all__ = [
     "schwarzschild_form",
     "SchwarzschildChart",
 ]
-
-_LD = np.longdouble
 
 # Quadrature: Gauss-Legendre order per panel and dense-step subdivision factor.
 _GL_ORDER = 20

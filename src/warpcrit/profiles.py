@@ -53,7 +53,7 @@ from .errors import (
     RangeError,
 )
 from .rk45 import _H_FLOOR, MIN_BATCH, DenseSolution, integrate, integrate_batch
-from .support import bisect_root
+from .support import LD as _LD, bisect_root
 
 __all__ = [
     "OdeParams",
@@ -74,8 +74,6 @@ __all__ = [
     "conserved_quantity",
 ]
 
-_LD = np.longdouble
-
 # Relative threshold on |r''(0)| below which the anchor is the constant
 # (non-warped) solution r = r0, which admits no potential.
 _CONSTANT_TOL = 1e-12
@@ -94,12 +92,14 @@ _SPACE_FORM_POINTS = 2001
 
 
 class _Fields:
-    """The radial fields with their longdouble coefficients, built once.
+    """The radial fields with their coefficients in the working precision
+    (``support.LD``, here ``_LD``), built once.
 
     This is the one definition of each formula.  The arguments are
     longdouble scalars (the integrator's right-hand side) or longdouble
-    arrays (the public helpers below, and the batch right-hand side of
-    ``stack``-ed fields).
+    arrays: the public helpers below, a batch member's y'' over its nodes
+    once the batch ends, and the batch right-hand side of ``stack``-ed
+    fields.
     """
 
     __slots__ = (
@@ -422,8 +422,8 @@ class Profile:
 
 def _rhs_functions(f: _Fields):
     """First- and second-derivative fields for the joint state
-    y = (r, r', lam0, lam0'), on longdouble scalars or, for stacked fields,
-    on rows of one value per member."""
+    y = (r, r', lam0, lam0'), on longdouble scalars or on rows of values:
+    one per node of one profile, or, for stacked fields, one per member."""
     warp, warp_jerk = f.warp, f.warp_jerk
     potential, potential_jerk = f.potential, f.potential_jerk
 
@@ -492,8 +492,8 @@ def _batch_members(keys: list) -> tuple[list, Callable]:
 
     def batch(idx):
         floor = floors[idx]
-        fun, d2fun = _rhs_functions(_Fields.stack([fields[i] for i in idx]))
-        return fun, d2fun, lambda y: y[0] <= floor
+        fun, _ = _rhs_functions(_Fields.stack([fields[i] for i in idx]))
+        return fun, lambda y: y[0] <= floor
 
     members = [
         (*_rhs_functions(f), lambda y, floor=floor: y[0] <= floor, _anchor_state(*key),
@@ -737,67 +737,47 @@ def critical_radius(params: OdeParams) -> float:
     return float((n * (n - 1) * params.a / params.R) ** (1.0 / n))
 
 
-def solve_radius_for_kappa0(params: OdeParams, kappa0: float, branch: str = "min") -> float:
+def solve_radius_for_kappa0(params: OdeParams, kappa0: float) -> float:
     """Anchor radius r0 realizing a prescribed fiber constant kappa0.
 
     Inverts F(r0) = c2 r0^2 + (2a/(n-2)) r0^(2-n) = kappa0 (the conserved
-    quantity at a critical point of r).  Requires a > 0.  For R <= 0, F is
-    strictly decreasing and the root is unique; ``branch`` is ignored.  For
-    R > 0, F has a strict minimum at the constant-solution radius and
-    ``branch`` selects the "min" (smaller r0, anchor is a minimum of r) or
-    "max" (larger r0) preimage.
+    quantity at a critical point of r).  Requires a > 0 and R <= 0
+    (InvalidRegime otherwise), where F is strictly decreasing and the root
+    is unique.
 
-    Raises OutOfRange when kappa0 is not attained on the requested branch.
+    Raises OutOfRange when no radius attains kappa0.
     """
     if params.a <= 0.0:
         raise InvalidRegime(
             f"kappa0 anchoring requires a > 0, got a={params.a!r}"
         )
-    if branch not in ("min", "max"):
-        raise RangeError(f"branch must be 'min' or 'max', got {branch!r}")
+    if params.R > 0.0:
+        raise InvalidRegime(f"kappa0 anchoring requires R <= 0, got R={params.R!r}")
     n = params.n
     kappa0 = float(kappa0)
-
-    def F(r: float) -> float:
-        return float(conserved_quantity(params, r, 0.0))
-
-    if params.R > 0.0:
-        r_star = critical_radius(params)
-        k_min = F(r_star)
-        if kappa0 < k_min - _KAPPA0_TOL * max(1.0, abs(k_min)):
-            raise OutOfRange(
-                f"no anchor radius attains kappa0={kappa0:.6g}; the minimum over "
-                f"radii is {k_min:.6g} at the constant solution"
-            )
-        if kappa0 <= k_min:
-            return r_star
-        # F falls on (0, r_star) and rises beyond: walk away from r_star.
-        start, factor, rising = r_star, (0.5 if branch == "min" else 2.0), True
-    elif params.R == 0.0:
+    if params.R == 0.0:
         # F(r) = (2a/(n-2)) r^(2-n): positive, strictly decreasing.
         if kappa0 <= 0.0:
             raise OutOfRange(
                 f"kappa0 must be positive when R = 0 and a > 0, got {kappa0:.6g}"
             )
         return float((2.0 * params.a / ((n - 2) * kappa0)) ** (1.0 / (n - 2)))
-    else:
-        # R < 0: F strictly decreasing from +inf to -inf; unique root.  Walk
-        # from r = 1 down while F is below kappa0, else up while above it.
-        start = 1.0
-        rising = F(start) < kappa0
-        factor = 0.5 if rising else 2.0
 
-    # One geometric walk until F reaches kappa0 (F rises along the walk when
-    # ``rising``).  A halving walk brackets the root by its last step, a
-    # doubling walk by its start and end; either way the tolerance is
-    # relative to the root.
-    x = prev = start
-    while (F(x) < kappa0) if rising else (F(x) > kappa0):
-        prev, x = x, x * factor
-        if (x < 1e-300) if factor < 1.0 else (x > 1e300):
-            word = "underflow" if factor < 1.0 else "overflow"
+    def F(r: float) -> float:
+        return float(conserved_quantity(params, r, 0.0))
+
+    # R < 0: F falls from +inf to -inf.  One geometric walk from r = 1,
+    # down while F is below kappa0, else up while above it.  A halving walk
+    # brackets the root by its last step, a doubling walk by its start and
+    # end; either way the tolerance is relative to the root.
+    halving = F(1.0) < kappa0
+    x = prev = 1.0
+    while (F(x) < kappa0) if halving else (F(x) > kappa0):
+        prev, x = x, x * (0.5 if halving else 2.0)
+        if (x < 1e-300) if halving else (x > 1e300):
+            word = "underflow" if halving else "overflow"
             raise OutOfRange(f"anchor radius {word} while bracketing")
-    lo, hi = (x, prev) if factor < 1.0 else (start, x)
+    lo, hi = (x, prev) if halving else (1.0, x)
     return bisect_root(lambda r: F(r) - kappa0, lo, hi, tol=_KAPPA0_TOL * hi)
 
 

@@ -48,10 +48,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import StepFailure
+from .support import LD as _LD
 
 __all__ = ["DenseSolution", "integrate", "integrate_batch", "hermite_quintic"]
-
-_LD = np.longdouble
 
 # Dormand-Prince 5(4) tableau (the system is autonomous, so the nodes c are
 # not needed). Exact rationals evaluated in longdouble.
@@ -201,10 +200,10 @@ class _March:
     arrays built from them.
     """
 
-    t0: np.longdouble
-    t_end: np.longdouble
-    t: np.longdouble
-    h: np.longdouble
+    t0: _LD
+    t_end: _LD
+    t: _LD
+    h: _LD
     y: Sequence
     k0: Sequence
     comp: Sequence  # Kahan compensation of the state accumulator
@@ -359,14 +358,16 @@ def integrate_batch(
 
     ``members[i]`` is ``(fun, d2fun, guard, y0, t_span)`` as ``integrate``
     takes them; each runs at ``integrate``'s one accuracy and starts with
-    the same first step.  ``batch(idx)`` returns ``(fun, d2fun, guard)`` for
-    the members in the index array ``idx``, vectorized over them: each takes a
+    the same first step.  ``batch(idx)`` returns ``(fun, guard)`` for the
+    members in the index array ``idx``, vectorized over them: each takes a
     ``(dim, len(idx))`` longdouble state and returns ``dim`` rows of values
     (the guard one bool per member, or is None).  Each member keeps its own
     step, window, Kahan compensation, accept decision and attempt budget,
     and leaves the batch when it reaches its end, its guard fires or it
     fails; once fewer than ``MIN_BATCH`` remain, each survivor finishes on
-    the scalar loop.
+    the scalar loop.  A member's y'' is its own ``d2fun``, applied after
+    the batch to its nodes as rows of one value per node: the fields are
+    elementwise, so each value is the one ``integrate`` forms at that node.
 
     Each weighted sum is one longdouble ``np.dot`` over a tableau row,
     started from zero as the scalar loop's sums are.
@@ -384,7 +385,9 @@ def integrate_batch(
     if len(states) >= MIN_BATCH:
         finished, log = _lockstep(states, batch)
         for i, rows in log.members(states):
-            ts, table = rows[:, 0].copy(), rows[:, 1:].reshape(len(rows), 3, -1)
+            ts, yd = rows[:, 0].copy(), rows[:, 1:].reshape(len(rows), 2, -1)
+            table = np.empty((len(rows), 3, yd.shape[2]), dtype=_LD)
+            table[:, :2], table[:, 2] = yd, np.array(members[i][1](yd[:, 0].T), dtype=_LD).T
             if i in finished:
                 out[i] = _solution(ts, table, finished.pop(i))
                 del states[i]
@@ -401,7 +404,7 @@ def integrate_batch(
 
 
 class _NodeLog:
-    """The accepted nodes of a batch, one row (t, y, y', y'') per node, in
+    """The accepted nodes of a batch, one row (t, y, y') per node, in
     one array that doubles as it fills: per-step arrays would leave the heap
     fragmented after the batch."""
 
@@ -444,12 +447,12 @@ def _lockstep(states: dict, batch) -> tuple[dict, _NodeLog]:
     Drops from ``states`` the members that fail or hit their guard, and
     leaves each survivor's state where its scalar loop resumes.  Returns the
     attempt counts of the members that reached their end, and the nodes of
-    every member.
+    every member, without y''.
     """
     rtol, atol, max_step = _RTOL, _ATOL, _MAX_STEP
     idx = np.array(sorted(states), dtype=np.intp)
-    log = _NodeLog(1 + len(states[idx[0]].flat))
-    log.add(idx, np.array([[*states[i].ts, *states[i].flat] for i in idx], dtype=_LD).T)
+    log = _NodeLog(1 + 2 * len(states[idx[0]].y))
+    log.add(idx, np.array([[states[i].t, *states[i].y, *states[i].k0] for i in idx], dtype=_LD).T)
     col = lambda name: np.array([getattr(states[i], name) for i in idx], dtype=_LD)
     T0, TEND, T, H = col("t0"), col("t_end"), col("t"), col("h")
     Y, K0, C = col("y").T, col("k0").T, col("comp").T
@@ -478,7 +481,7 @@ def _lockstep(states: dict, batch) -> tuple[dict, _NodeLog]:
             Y, K0, C, hit = Y[:, live], K0[:, live], C[:, live], hit[live]
             if len(idx) < MIN_BATCH:
                 break
-            fun, d2fun, guard = batch(idx)
+            fun, guard = batch(idx)
             K = np.empty((7, *Y.shape), dtype=_LD)  # the stage values
             stages = K.reshape(7, -1)
         attempts += 1
@@ -497,7 +500,7 @@ def _lockstep(states: dict, batch) -> tuple[dict, _NodeLog]:
         Y = np.where(acc, V, Y)
         K0 = np.where(acc, K[6], K0)
         if acc.any():
-            block = np.concatenate([T[None], Y, K0, np.array(d2fun(Y), dtype=_LD)])
+            block = np.concatenate([T[None], Y, K0])
             if acc.all():
                 log.add(idx, block)
             else:

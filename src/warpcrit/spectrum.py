@@ -57,6 +57,7 @@ from .profiles import (
     solve_potential,
     warp_accel,
 )
+from .support import LD as _LD
 
 __all__ = [
     "SpectralResult",
@@ -65,8 +66,6 @@ __all__ = [
     "first_dirichlet_eigenvalue",
     "verify_eigenvalue_signs",
 ]
-
-_LD = np.longdouble
 
 # Rounding floor added to the step-halving estimate: tridiagonal eigenvalues
 # carry O(eps * ||T||) noise that Richardson cannot see.

@@ -7,7 +7,12 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ROW_BLOCK", "bisect_root", "gauss_legendre", "row_blocks"]
+__all__ = ["LD", "ROW_BLOCK", "bisect_root", "gauss_legendre", "row_blocks"]
+
+# The working precision of every computation.  Every tolerance assumes its
+# 64-bit significand (x86-64's 80-bit long double, 63 mantissa bits as numpy
+# counts them); cli.main refuses to run where it has fewer.
+LD = np.longdouble
 
 # Rows per block of the per-point pipeline: dense evaluation of long queries,
 # the quadrature panels, the export grid, CSV rendering and the verification
@@ -58,10 +63,10 @@ def bisect_root(
 
 @lru_cache(maxsize=8)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1], cached, as longdouble."""
+    """Gauss-Legendre nodes/weights on [0, 1], cached, in the working precision."""
     x, w = np.polynomial.legendre.leggauss(order)
-    nodes = (x.astype(np.longdouble) + 1.0) * 0.5
-    weights = w.astype(np.longdouble) * 0.5
+    nodes = (x.astype(LD) + 1.0) * 0.5
+    weights = w.astype(LD) * 0.5
     return nodes, weights
 
 

@@ -1040,6 +1040,22 @@ def test_failure_outside_a_task_exits_3_with_one_line(tmp_path, capsys):
     assert lines[0].startswith("error: internal error (IsADirectoryError at ")
 
 
+def test_short_working_precision_exits_3_before_any_command(tmp_path, capsys, monkeypatch):
+    # Where the long double is float64, the tolerances are out of reach: the
+    # run stops at once with one line naming the bits, and writes nothing.
+    monkeypatch.setattr(support, "LD", np.float64)
+    cfg = _write_config(tmp_path / "c.json", {"n": 3, "R": -6.0, "a": 1.0, "r0": 1.0})
+    out_dir = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: working precision has 52 mantissa bits; the tolerances need at "
+        "least 63 (x86-64's 80-bit long double)"
+    ]
+    assert not out_dir.exists()
+
+
 # ----------------------------------------------------------------------
 # sweeps and process entry
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from warpcrit import (
     solve_radius_for_kappa0,
     space_form_profile,
 )
+from warpcrit import profiles
 from warpcrit.cli import _resample
 from warpcrit.profiles import _node_roots, prefetched
 
@@ -147,39 +148,29 @@ def test_oracle_kappa0_anchoring():
     params = OdeParams(n=3, R=0.0, a=0.5)
     r0 = solve_radius_for_kappa0(params, 1.0)
     assert r0 == pytest.approx(1.0, abs=1e-12)
-    # R>0 two-branch inversion brackets the constant radius.
-    params2 = OdeParams(n=3, R=6.0, a=1.0)
-    lo = solve_radius_for_kappa0(params2, 4.0, branch="min")
-    hi = solve_radius_for_kappa0(params2, 4.0, branch="max")
-    print(f"branches: {lo:.12g} < 1 < {hi:.12g}")
-    assert lo < 1.0 < hi
-    for r0 in (lo, hi):
-        k = float(conserved_quantity(params2, r0, 0.0))
-        assert k == pytest.approx(4.0, abs=1e-10), f"anchoring failed at r0={r0}"
-    # A min-branch root far below 1 is resolved to a relative tolerance:
-    # r^2 + 2e-9/r = 1 at r = 2e-9 (1 + 4e-18).
-    tiny = solve_radius_for_kappa0(OdeParams(n=3, R=6.0, a=1e-9), 1.0, branch="min")
-    assert tiny == pytest.approx(2e-9, rel=1e-13)
+
+
+def test_kappa0_anchoring_refuses_positive_R():
+    # For R > 0 no caller anchors by kappa0: the static chart is R <= 0.
+    with pytest.raises(InvalidRegime, match=r"^kappa0 anchoring requires R <= 0, got R=6.0$"):
+        solve_radius_for_kappa0(OdeParams(n=3, R=6.0, a=1.0), 4.0)
 
 
 # The geometric walk's bracket sets the bisection's midpoints and tolerance,
 # so the anchor radius is pinned bit for bit: the root at r0 = 1 itself, a
-# doubling walk from 1 (bracket [1, 4]), a halving walk from 1, and both
-# R > 0 branches walking away from the constant-solution radius.
+# doubling walk from 1 (bracket [1, 4]), and a halving walk from 1.
 @pytest.mark.parametrize(
-    "nra, kappa0, branch, expected",
+    "nra, kappa0, expected",
     [
-        ((3, -6.0, 1.0), 1.0, "min", "0x1.0000000000000p+0"),
-        ((4, -6.0, 50.0), 1.0, "min", "0x1.811002d4cb018p+1"),
-        ((3, -6.0, 0.01), 1.0, "min", "0x1.478c90d63cea0p-6"),
-        ((3, 6.0, 1.0), 4.0, "min", "0x1.1410905e2e020p-1"),
-        ((3, 6.0, 1.0), 4.0, "max", "0x1.acd560719a8e0p+0"),
+        ((3, -6.0, 1.0), 1.0, "0x1.0000000000000p+0"),
+        ((4, -6.0, 50.0), 1.0, "0x1.811002d4cb018p+1"),
+        ((3, -6.0, 0.01), 1.0, "0x1.478c90d63cea0p-6"),
     ],
-    ids=["root_at_start", "doubling", "halving", "min_branch", "max_branch"],
+    ids=["root_at_start", "doubling", "halving"],
 )
-def test_kappa0_walk_pins_the_anchor_radius(nra, kappa0, branch, expected):
+def test_kappa0_walk_pins_the_anchor_radius(nra, kappa0, expected):
     n, R, a = nra
-    r0 = solve_radius_for_kappa0(OdeParams(n=n, R=R, a=a), kappa0, branch)
+    r0 = solve_radius_for_kappa0(OdeParams(n=n, R=R, a=a), kappa0)
     assert r0.hex() == expected
 
 
@@ -522,6 +513,50 @@ def test_a_prefetched_base_dies_with_its_profile():
         del prof
         gc.collect()
         assert base() is None
+
+
+# ----------------------------------------------------------------------
+# Integrator effort
+# ----------------------------------------------------------------------
+
+
+# The effort of fixed profiles at s_max 12, pinned as (nfev, accepted
+# steps, bisection evaluations of find_roots on the completed profile): the
+# four spectrum --signs anchors of the benchmark (r0 a ratio of the
+# constant-solution radius) and one R < 0 profile at r0 = 1.  The right-hand
+# side is counted where it is called, so the reported nfev must equal the
+# evaluations made.  A count that rises is a regression; a change that lowers
+# one re-pins it.
+@pytest.mark.parametrize(
+    "nra, ratio, C, effort",
+    [
+        ((3, 6.0, 1.0), 0.8, 0.1, (40177, 6690, 611)),
+        ((3, 6.0, 1.0), 1.3, 0.1, (39793, 6628, 549)),
+        ((4, 6.0, 1.0), 0.8, 0.1, (32383, 5392, 462)),
+        ((4, 6.0, 2.0), 1.3, 0.1, (34627, 5768, 461)),
+        ((3, -6.0, 1.0), 1.0, 0.0, (20161, 3360, 62)),
+    ],
+    ids=["n3_a1_inner", "n3_a1_outer", "n4_a1_inner", "n4_a2_outer", "R_negative"],
+)
+def test_integrator_effort_is_pinned(monkeypatch, nra, ratio, C, effort):
+    calls, evals = [], []
+    rhs, bisect = profiles._rhs_functions, profiles.bisect_root
+
+    def counted_rhs(fields):
+        fun, d2fun = rhs(fields)
+        return (lambda y: calls.append(None) or fun(y)), d2fun
+
+    def counted_bisect(f, *args, **kwargs):
+        return bisect(lambda s: evals.append(s) or f(s), *args, **kwargs)
+
+    monkeypatch.setattr(profiles, "_rhs_functions", counted_rhs)
+    monkeypatch.setattr(profiles, "bisect_root", counted_bisect)
+    params = OdeParams(*nra)
+    r0 = ratio * critical_radius(params) if params.R > 0 else ratio
+    prof = integrate_profile(params, r0, 12.0)
+    find_roots(solve_potential(prof, C))
+    assert prof._base.nfev == len(calls)
+    assert (len(calls), len(prof._base.ts) - 1, len(evals)) == effort
 
 
 if __name__ == "__main__":
